@@ -10,10 +10,11 @@
 //   * network outbound ring: master at the co-processor; inbound ring:
 //     master at the host (§4.4.1), so both sides' DMA engines pull.
 //
-// Scale note: the simulated SSD defaults to 2 GiB of real backing bytes
-// (the paper's testbed had a 1.2 TB device and used 4 GB working files;
-// this repository's benches use 1 GiB files so several rigs fit in RAM —
-// all bandwidth ceilings are identical, so every reported *shape* is
+// Scale note: the simulated SSD defaults to 2 GiB of real backing bytes,
+// lazily zero-filled so only written blocks cost host memory (the paper's
+// testbed had a 1.2 TB device and used 4 GB working files; this
+// repository's benches use 1 GiB files so several rigs fit in RAM — all
+// bandwidth ceilings are identical, so every reported *shape* is
 // unaffected).
 #ifndef SOLROS_SRC_CORE_MACHINE_H_
 #define SOLROS_SRC_CORE_MACHINE_H_

@@ -338,6 +338,12 @@ Task<Result<MemRef>> BufferCache::GetBlock(uint64_t lba) {
     use_->CompleteOp(telemetry_sim_->now(), 0);
   }
   auto it = map_.find(lba);
+  if (it == map_.end() && OverlapsInflight(lba, 1)) {
+    // The device may still hold this block's previous bytes: wait for the
+    // write-back, then look again (the wait suspends).
+    co_await AwaitInflight(lba, 1);
+    it = map_.find(lba);
+  }
   if (it != map_.end()) {
     hits_->Increment();
     ++local_hits_;
@@ -384,6 +390,9 @@ Task<Status> BufferCache::InsertLocked(uint64_t lba,
                                        bool dirty, bool readahead) {
   if (content.size() < block_size_) {
     co_return InvalidArgumentError("short page content");
+  }
+  if (!dirty && OverlapsInflight(lba, 1)) {
+    co_return OkStatus();
   }
   auto it = map_.find(lba);
   if (it == map_.end() && free_slots_.empty()) {

@@ -23,9 +23,11 @@
 // confirms it, so (a) Flush/FlushRange wait out overlapping in-flight
 // writes instead of treating snapshot-cleaned pages as durable, (b) no
 // second write is ever submitted for an LBA that overlaps an in-flight one
-// (NVMe gives no ordering across submissions), and (c) a page re-dirtied
+// (NVMe gives no ordering across submissions), (c) a page re-dirtied
 // while its snapshot is in flight keeps its dirty bit and is written again
-// later rather than evicted with the new bytes dropped.
+// later rather than evicted with the new bytes dropped, and (d) a miss
+// never reads, and InsertClean never installs, a block whose write-back is
+// still in flight (its page may have been evicted clean meanwhile).
 //
 // Counters live in the process MetricRegistry (cache.hits, cache.misses,
 // cache.evictions, cache.readahead_hits, cache.readahead_blocks,
@@ -98,7 +100,8 @@ class BufferCache {
 
   // Installs a clean page from caller-provided content without touching the
   // backing store (the caller just read it, e.g. into a bounce buffer).
-  // No-op if the block is already cached. Pages installed with
+  // No-op if the block is already cached, or if a write-back of it is in
+  // flight (the content may predate that write). Pages installed with
   // `readahead=true` count one cache.readahead_hits on their first
   // GetBlock touch (speculation that paid off).
   Task<Status> InsertClean(uint64_t lba, std::span<const uint8_t> content,
@@ -134,6 +137,15 @@ class BufferCache {
   size_t size() const { return map_.size(); }
   size_t capacity() const { return capacity_; }
   size_t dirty_pages() const { return dirty_count_; }
+  // Whether a write-back submission covering part of [lba, lba+nblocks) is
+  // still outstanding, and a wait until none is. A device read of such a
+  // block may return the bytes the write-back replaces, and the page may
+  // already have left the cache (it turned clean at snapshot time and can
+  // be evicted mid-flight): whoever fills the cache from the device must
+  // wait these out first.
+  bool OverlapsInflight(uint64_t lba, uint64_t nblocks) const;
+  Task<void> AwaitInflight(uint64_t lba, uint64_t nblocks);
+
   // True while a write-back submission is outstanding at the device. Pages
   // covered by it are already clean, so "dirty_pages() == 0" alone must
   // not be read as "everything durable".
@@ -185,10 +197,6 @@ class BufferCache {
   // as an in-flight range, re-marking still-cached pages dirty if the
   // write fails.
   Task<Status> WritebackRuns(WritebackPlan plan);
-  bool OverlapsInflight(uint64_t lba, uint64_t nblocks) const;
-  // Suspends until no in-flight write-back overlaps [lba, lba+nblocks)
-  // (respectively: until none is in flight at all).
-  Task<void> AwaitInflight(uint64_t lba, uint64_t nblocks);
   Task<void> AwaitAllInflight();
   Task<void> WaitInflightChange();
   void NotifyInflight();

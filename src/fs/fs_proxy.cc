@@ -194,6 +194,7 @@ Task<Status> FsProxy::Prefetch(const std::string& path) {
   for (const FsExtent& extent : extents) {
     uint64_t bytes = uint64_t{extent.len} * kFsBlockSize;
     DeviceBuffer bounce(host_cpu_->device(), bytes);
+    co_await cache_->AwaitInflight(extent.start, extent.len);
     if (iosched_ != nullptr) {
       // Prefetch is speculation: readahead class, so it never queues ahead
       // of a demand miss.
@@ -790,6 +791,14 @@ Task<Status> FsProxy::BufferedRead(uint64_t ino, uint64_t offset,
       while (i + run < extent.len &&
              (cache_ == nullptr || !cache_->Contains(extent.start + i + run))) {
         ++run;
+      }
+      if (cache_ != nullptr && cache_->OverlapsInflight(lba, run)) {
+        // An eviction write-back of part of this run has not reached the
+        // device yet, so reading now could fetch the bytes it replaces.
+        // Wait it out, then re-examine the run: the wait suspends, and the
+        // cache may hold some of these blocks by then.
+        co_await cache_->AwaitInflight(lba, run);
+        continue;
       }
       if (iosched_ != nullptr) {
         // The whole miss run — demand blocks plus any piggybacked

@@ -19,7 +19,7 @@ NvmeDevice::NvmeDevice(Simulator* sim, PcieFabric* fabric,
       self_(self),
       capacity_(capacity_bytes),
       interrupt_cpu_(interrupt_cpu),
-      flash_(capacity_bytes, 0),
+      flash_(self, capacity_bytes),
       queue_slots_(sim, params.nvme_queue_depth) {
   CHECK(fabric->TypeOf(self) == DeviceType::kNvme);
   CHECK_EQ(capacity_bytes % params.nvme_block_size, 0u);
@@ -220,9 +220,8 @@ Task<Status> NvmeDevice::Execute(NvmeCommand command, TraceContext ctx) {
     // can roll this (still volatile) write back. armed() is a relaxed
     // load, so fault-free runs pay one branch here.
     if (powercut->armed() || tornwrite->armed()) {
-      undo_.push_back(UndoEntry{
-          flash_off,
-          {flash_.begin() + flash_off, flash_.begin() + flash_off + bytes}});
+      const uint8_t* pre = flash_.data() + flash_off;
+      undo_.push_back(UndoEntry{flash_off, {pre, pre + bytes}});
     }
     if (powercut->ShouldFire()) {
       static Counter* const powercuts =

@@ -71,8 +71,9 @@ class NvmeDevice {
   // Single-command convenience wrapper (always doorbell + interrupt).
   Task<Status> SubmitOne(NvmeCommand command, Processor* submitter_cpu);
 
-  // Zero-cost flash access for test setup and mkfs bootstrap.
-  std::span<uint8_t> RawFlash() { return {flash_.data(), flash_.size()}; }
+  // Zero-cost flash access for test setup and mkfs bootstrap. Never-written
+  // blocks read as zeros.
+  std::span<uint8_t> RawFlash() { return flash_.Span(0, flash_.size()); }
 
   // Crash model. While the `nvme.powercut` / `nvme.tornwrite` fault points
   // are armed, every write records an undo image of the flash bytes it is
@@ -116,7 +117,9 @@ class NvmeDevice {
   DeviceId self_;
   uint64_t capacity_;
   Processor* interrupt_cpu_;
-  std::vector<uint8_t> flash_;
+  // Flash media is device memory of the SSD itself: lazily zero-filled, so
+  // only written blocks cost host memory (see DeviceBuffer).
+  DeviceBuffer flash_;
 
   Semaphore queue_slots_;
   // USE telemetry ("<device name>", e.g. "nvme0"): depth counts commands

@@ -4,8 +4,10 @@
 #include "src/core/machine.h"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstring>
+#include <fstream>
 #include <string>
 #include <vector>
 
@@ -351,6 +353,31 @@ TEST(MachineNetTest, SharedListeningSocketBalancesAcrossPhis) {
   for (int i = 0; i < 4; ++i) {
     EXPECT_GT(machine.net_stub(i).events_dispatched(), 0u) << i;
   }
+}
+
+// Resident set size of this process in bytes, from /proc/self/statm.
+uint64_t ResidentBytes() {
+  std::ifstream statm("/proc/self/statm");
+  uint64_t size_pages = 0;
+  uint64_t resident_pages = 0;
+  statm >> size_pages >> resident_pages;
+  CHECK(statm) << "cannot read /proc/self/statm";
+  return resident_pages * static_cast<uint64_t>(sysconf(_SC_PAGESIZE));
+}
+
+// Device memory is lazily zero-filled: building a default machine (2 GiB of
+// flash, a 128 MiB buffer-cache arena) costs host memory only for what the
+// build itself touches, and so does formatting its file system.
+TEST(MachineTest, DefaultMachineResidencyIsProportionalToTouchedBytes) {
+  const uint64_t before = ResidentBytes();
+  Machine machine{MachineConfig()};
+  const uint64_t built = ResidentBytes();
+  CHECK_OK(RunSim(machine.sim(), machine.FormatFs()));
+  const uint64_t formatted = ResidentBytes();
+  EXPECT_EQ(machine.nvme().RawFlash().size(), GiB(2));
+  EXPECT_EQ(machine.fs_proxy().cache()->capacity(), 32768u);
+  EXPECT_LT(built - std::min(built, before), MiB(16));
+  EXPECT_LT(formatted - std::min(formatted, before), MiB(32));
 }
 
 }  // namespace

@@ -98,5 +98,62 @@ TEST(OBufferTest, BufferedRereadsHitTheSharedCacheFromAnotherDataPlane) {
   EXPECT_GT(machine.fs_proxy().cache()->hits(), 0u);
 }
 
+// A buffered read of a block whose eviction write-back is still on its way
+// to the device must return the written bytes. Write-back clears a page's
+// dirty bit when it snapshots the page, so a concurrent eviction can drop
+// the (now clean) page while the write is in flight; the next read then
+// misses and must wait for that write instead of fetching the old bytes.
+TEST(OBufferTest, ReadWaitsOutInFlightEvictionWriteback) {
+  MachineConfig config;
+  config.num_phis = 1;
+  config.nvme_capacity = MiB(64);
+  config.enable_network = false;
+  config.fs_options.cache_blocks = 8;
+  config.fs_options.readahead = false;
+  // Slow device writes keep the write-back in flight long enough for a
+  // whole read round trip to happen meanwhile.
+  config.params.nvme_write_latency = Milliseconds(1);
+  Machine machine(std::move(config));
+  CHECK_OK(RunSim(machine.sim(), machine.FormatFs()));
+  FsStub& stub = machine.fs_stub(0);
+  const DeviceId phi = machine.phi_device(0);
+
+  // Sixteen blocks of 0xAA on the device, then blocks 0..7 overwritten
+  // with 0xBB through the cache: eight dirty pages fill it.
+  auto ino = RunSim(machine.sim(), stub.Create("/f"));
+  ASSERT_TRUE(ino.ok());
+  DeviceBuffer old_bytes(phi, 16 * kFsBlockSize);
+  std::memset(old_bytes.data(), 0xAA, old_bytes.size());
+  CHECK_OK(RunSim(machine.sim(), stub.Write(*ino, 0, MemRef::Of(old_bytes))));
+  ASSERT_TRUE(RunSim(machine.sim(), stub.OpenBuffered("/f")).ok());
+  DeviceBuffer new_bytes(phi, 8 * kFsBlockSize);
+  std::memset(new_bytes.data(), 0xBB, new_bytes.size());
+  CHECK_OK(RunSim(machine.sim(), stub.Write(*ino, 0, MemRef::Of(new_bytes))));
+  ASSERT_EQ(machine.fs_proxy().cache()->dirty_pages(), 8u);
+
+  // Two readers miss on blocks 8 and 9 at once. The first to install its
+  // block evicts block 0 with its dirty cluster (write-back in flight);
+  // the other evicts block 0's now-clean page and returns at once. Each
+  // reader then reads block 0.
+  int stale = 0;
+  auto reader = [&](uint64_t block) -> Task<void> {
+    DeviceBuffer buf(phi, kFsBlockSize);
+    CHECK_OK(co_await stub.Read(*ino, block * kFsBlockSize, MemRef::Of(buf)));
+    CHECK_EQ(buf.data()[0], 0xAA);
+    CHECK_OK(co_await stub.Read(*ino, 0, MemRef::Of(buf)));
+    for (uint8_t b : buf.Span(0, buf.size())) {
+      if (b != 0xBB) {
+        ++stale;
+        break;
+      }
+    }
+  };
+  Spawn(machine.sim(), reader(8));
+  Spawn(machine.sim(), reader(9));
+  machine.sim().RunUntilIdle();
+  EXPECT_EQ(stale, 0);
+  EXPECT_GE(machine.fs_proxy().cache()->evictions(), 2u);
+}
+
 }  // namespace
 }  // namespace solros

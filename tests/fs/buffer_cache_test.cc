@@ -409,6 +409,63 @@ TEST_F(SegmentedCacheTest, ReDirtiedVictimDuringWritebackIsNotLost) {
   EXPECT_EQ(slow.raw()[40 * 4096], 0x99);  // ...and the new bytes after it
 }
 
+TEST_F(SegmentedCacheTest, MissWaitsForInFlightWritebackOfEvictedPage) {
+  SlowStore slow(4096, 1024);
+  BufferCache cache(&slow, fabric_.HostDevice(0), 8, Options());
+  for (uint64_t lba = 40; lba < 48; ++lba) {
+    CHECK_OK(RunSim(sim_, cache.InsertDirty(lba, Block(0x5A))));
+  }
+  // The first fault writes back the dirty cluster 40..47 (SlowStore keeps
+  // it in flight); the second evicts page 40, clean since its snapshot,
+  // without waiting. A miss on 40 must then wait for the write-back rather
+  // than read the store's old bytes.
+  auto fault = [&](uint64_t lba) -> Task<void> {
+    auto ref = co_await cache.GetBlock(lba);
+    CHECK(ref.ok());
+  };
+  uint8_t seen = 0;
+  auto reread = [&]() -> Task<void> {
+    auto ref = co_await cache.GetBlock(40);
+    CHECK(ref.ok());
+    seen = ref->span()[0];
+  };
+  Spawn(sim_, fault(200));
+  Spawn(sim_, fault(201));
+  Spawn(sim_, reread());
+  sim_.RunUntilIdle();
+  EXPECT_EQ(seen, 0x5A);
+  EXPECT_EQ(slow.raw()[40 * 4096], 0x5A);
+}
+
+TEST_F(SegmentedCacheTest, InsertCleanSkipsPagesWithWritebackInFlight) {
+  SlowStore slow(4096, 1024);
+  BufferCache cache(&slow, fabric_.HostDevice(0), 8, Options());
+  for (uint64_t lba = 40; lba < 48; ++lba) {
+    CHECK_OK(RunSim(sim_, cache.InsertDirty(lba, Block(0x5A))));
+  }
+  // While 40..47 are being written back, page 40 is evicted clean and a
+  // fill of 40 carrying older bytes arrives: it must not be installed.
+  auto fault = [&](uint64_t lba) -> Task<void> {
+    auto ref = co_await cache.GetBlock(lba);
+    CHECK(ref.ok());
+  };
+  bool installed = true;
+  uint8_t seen = 0;
+  auto stale_fill = [&]() -> Task<void> {
+    CHECK_OK(co_await cache.InsertClean(40, Block(0x01)));
+    installed = cache.Contains(40);
+    auto ref = co_await cache.GetBlock(40);
+    CHECK(ref.ok());
+    seen = ref->span()[0];
+  };
+  Spawn(sim_, fault(200));
+  Spawn(sim_, fault(201));
+  Spawn(sim_, stale_fill());
+  sim_.RunUntilIdle();
+  EXPECT_FALSE(installed);
+  EXPECT_EQ(seen, 0x5A);
+}
+
 TEST_F(SegmentedCacheTest, FlushRangeWaitsForInFlightWriteback) {
   SlowStore slow(4096, 1024);
   BufferCache cache(&slow, fabric_.HostDevice(0), 8, Options());

@@ -152,7 +152,7 @@ TEST(PickShardForDepthsTest, MatchesAlwaysScanReferenceOnRandomDepths) {
         }
       }
       const int primary =
-          static_cast<int>(prng.NextInRange(0, static_cast<uint64_t>(count)));
+          static_cast<int>(prng.NextBelow(static_cast<uint64_t>(count)));
       auto depth = [&](int k) { return depths[static_cast<size_t>(k)]; };
       bool fast_handoff = false;
       bool ref_handoff = false;

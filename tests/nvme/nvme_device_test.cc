@@ -2,9 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <numeric>
 
+#include "src/base/fault.h"
 #include "src/base/prng.h"
 #include "src/base/units.h"
 #include "src/hw/fabric.h"
@@ -211,6 +213,52 @@ TEST(NvmeDeviceTest, QueueDepthBoundsConcurrency) {
       RunSim(rig.sim, rig.nvme.Submit(batch, true, &rig.host_cpu));
   EXPECT_TRUE(status.ok());
   EXPECT_EQ(rig.nvme.commands_completed(), static_cast<uint64_t>(n));
+}
+
+TEST(NvmeDeviceTest, NeverWrittenBlocksReadAsZeros) {
+  Rig rig;
+  uint32_t bs = rig.nvme.block_size();
+  DeviceBuffer src(rig.host, bs);
+  std::memset(src.data(), 0x3C, bs);
+  CHECK_OK(RunSim(rig.sim, rig.nvme.SubmitOne(MakeWrite(7, 1, MemRef::Of(src)),
+                                              &rig.host_cpu)));
+  // A range straddling the one written block, and the device's last block.
+  DeviceBuffer dst(rig.host, 3 * bs);
+  std::memset(dst.data(), 0xFF, dst.size());
+  CHECK_OK(RunSim(rig.sim, rig.nvme.SubmitOne(MakeRead(6, 3, MemRef::Of(dst)),
+                                              &rig.host_cpu)));
+  for (uint64_t i = 0; i < 3 * uint64_t{bs}; ++i) {
+    ASSERT_EQ(dst.data()[i], i / bs == 1 ? 0x3C : 0) << i;
+  }
+  CHECK_OK(RunSim(rig.sim, rig.nvme.SubmitOne(
+                               MakeRead(rig.nvme.block_count() - 1, 1,
+                                        MemRef::Of(dst, 0, bs)),
+                               &rig.host_cpu)));
+  EXPECT_TRUE(std::all_of(dst.data(), dst.data() + bs,
+                          [](uint8_t b) { return b == 0; }));
+}
+
+TEST(NvmeDeviceTest, PowercutRollbackOverNeverWrittenBlocksRestoresZeros) {
+  Rig rig;
+  uint32_t bs = rig.nvme.block_size();
+  DeviceBuffer src(rig.host, 8 * uint64_t{bs});
+  std::memset(src.data(), 0xA5, src.size());
+  // The second un-flushed write fires the cut: both roll back to the
+  // pre-images of blocks that were never written, i.e. zeros.
+  ASSERT_TRUE(Faults().Arm("nvme.powercut", FaultSpec::EveryNth(2)).ok());
+  CHECK_OK(RunSim(rig.sim, rig.nvme.SubmitOne(
+                               MakeWrite(1000, 4, MemRef::Of(src, 0, 4 * bs)),
+                               &rig.host_cpu)));
+  Status cut = RunSim(rig.sim, rig.nvme.SubmitOne(
+                                   MakeWrite(1002, 8, MemRef::Of(src)),
+                                   &rig.host_cpu));
+  Faults().DisarmAll();
+  EXPECT_EQ(cut.code(), ErrorCode::kFailedPrecondition);
+  EXPECT_TRUE(rig.nvme.crashed());
+  auto flash = rig.nvme.RawFlash().subspan(1000 * uint64_t{bs}, 10 * bs);
+  EXPECT_TRUE(std::all_of(flash.begin(), flash.end(),
+                          [](uint8_t b) { return b == 0; }));
+  rig.nvme.PowerCycle();
 }
 
 }  // namespace
