@@ -4,12 +4,12 @@
 // counts: Solros should approach the NIC/PCIe ceiling like the host, while
 // the Phi-Linux stack saturates its slow cores first. The "+batch" column
 // re-runs Solros with the net data-path batching mechanisms on (segment
-// coalescing, vectored ring push, adaptive payload copy, DRR dispatch —
-// DESIGN.md §5.5). With a handful of wire-bound streams the ring is not
-// the bottleneck, so the column shows batching's cost side — the plug
-// window delaying flushes — staying within a few percent of plain Solros;
-// the benefit side (doorbell amortization across sockets) appears at
-// connection scale in fig19_connection_storm.
+// coalescing, vectored ring push, adaptive payload copy, pipelined
+// per-plane dispatch — DESIGN.md §5.5). With a handful of wire-bound
+// streams the ring is not the bottleneck, so the column shows batching's
+// cost side — the plug window delaying flushes — staying within 7% of
+// plain Solros (1-connection 4KB is the worst row); the benefit side (doorbell amortization across
+// sockets) appears at connection scale in fig19_connection_storm.
 #include <iostream>
 
 #include "bench/bench_util.h"

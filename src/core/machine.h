@@ -74,9 +74,10 @@ struct MachineConfig {
   std::unique_ptr<ForwardingPolicy> policy;  // default: round robin
 
   // Net data-path batching (DESIGN.md §5.5): segment coalescing, vectored
-  // ring push, adaptive payload copy, DRR outbound dispatch. All default
-  // off (legacy byte-identical); the constructor overlays SOLROS_NET_*
-  // environment knobs via ResolveNetPathOptions.
+  // ring push, adaptive payload copy, pipelined outbound dispatch. All
+  // default off (legacy byte-identical); the constructor overlays
+  // SOLROS_NET_* environment knobs via ResolveNetPathOptions, and a set
+  // variable wins over the value here.
   NetPathOptions net_options;
 
   // Control-plane shards: each FsProxy/TcpProxy shard runs pinned to its

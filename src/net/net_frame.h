@@ -44,32 +44,45 @@ struct NetFrameView {
   std::span<const uint8_t> body;  // bytes following the header
 };
 
-// Splits a record (header already peeled by the caller) into its events:
-// kBatch yields one NetFrameView per sub-record; anything else yields the
-// record itself. Views alias `body`.
-inline std::vector<NetFrameView> SplitBatch(const NetEvent& header,
-                                            std::span<const uint8_t> body) {
-  std::vector<NetFrameView> events;
-  if (header.kind != NetEventKind::kBatch) {
-    events.emplace_back(header, body);
-    return events;
-  }
-  events.reserve(header.segments);
-  size_t off = 0;
-  for (uint16_t i = 0; i < header.segments; ++i) {
-    CHECK_LE(off + sizeof(uint32_t), body.size());
+// Walks a record's events in place, without allocating (header already
+// peeled by the caller): a kBatch record yields each sub-record, any other
+// record yields itself once. Views alias `body`.
+class NetFrameCursor {
+ public:
+  NetFrameCursor(const NetEvent& header, std::span<const uint8_t> body)
+      : header_(header),
+        body_(body),
+        count_(header.kind == NetEventKind::kBatch ? header.segments : 1) {}
+
+  bool Next(NetFrameView* out) {
+    if (index_ == count_) {
+      return false;
+    }
+    ++index_;
+    if (header_.kind != NetEventKind::kBatch) {
+      *out = NetFrameView(header_, body_);
+      return true;
+    }
+    CHECK_LE(offset_ + sizeof(uint32_t), body_.size());
     uint32_t len = 0;
-    std::memcpy(&len, body.data() + off, sizeof(len));
-    off += sizeof(len);
-    CHECK_LE(off + len, body.size());
+    std::memcpy(&len, body_.data() + offset_, sizeof(len));
+    offset_ += sizeof(len);
+    CHECK_LE(offset_ + len, body_.size());
     CHECK_GE(len, sizeof(NetEvent));
-    std::span<const uint8_t> record = body.subspan(off, len);
-    events.emplace_back(DecodePod<NetEvent>(record),
+    std::span<const uint8_t> record = body_.subspan(offset_, len);
+    *out = NetFrameView(DecodePod<NetEvent>(record),
                         record.subspan(sizeof(NetEvent)));
-    off += len;
+    offset_ += len;
+    return true;
   }
-  return events;
-}
+
+ private:
+  NetEvent header_;
+  std::span<const uint8_t> body_;
+  size_t count_;
+  size_t index_ = 0;
+  size_t offset_ = 0;
+};
 
 // One message sliced out of a (possibly coalesced) kData event body.
 struct NetSegmentView {
@@ -81,29 +94,47 @@ struct NetSegmentView {
   uint64_t parent_span = 0;
 };
 
-// Splits a kData event into its messages (exactly one for the legacy
-// layout). Views alias `body`.
-inline std::vector<NetSegmentView> SplitSegments(
-    const NetEvent& event, std::span<const uint8_t> body) {
-  std::vector<NetSegmentView> messages;
-  if (event.segments == 0) {
-    messages.emplace_back(body, event.trace_id, event.parent_span);
-    return messages;
+// Walks a kData event's messages in place, without allocating: exactly
+// one for the legacy layout, `segments` for a coalesced one. Views alias
+// `body`.
+class NetSegmentCursor {
+ public:
+  NetSegmentCursor(const NetEvent& event, std::span<const uint8_t> body)
+      : event_(event),
+        body_(body),
+        count_(event.segments == 0 ? 1 : event.segments),
+        offset_(sizeof(NetSegment) * event.segments) {
+    CHECK_LE(offset_, body.size());
   }
-  const size_t table = sizeof(NetSegment) * event.segments;
-  CHECK_LE(table, body.size());
-  messages.reserve(event.segments);
-  size_t off = table;
-  for (uint16_t i = 0; i < event.segments; ++i) {
-    NetSegment seg;
-    std::memcpy(&seg, body.data() + i * sizeof(NetSegment), sizeof(seg));
-    CHECK_LE(off + seg.length, body.size());
-    messages.emplace_back(body.subspan(off, seg.length), seg.trace_id,
-                          seg.parent_span);
-    off += seg.length;
+
+  size_t count() const { return count_; }
+
+  bool Next(NetSegmentView* out) {
+    if (index_ == count_) {
+      return false;
+    }
+    if (event_.segments == 0) {
+      *out = NetSegmentView(body_, event_.trace_id, event_.parent_span);
+    } else {
+      NetSegment seg;
+      std::memcpy(&seg, body_.data() + index_ * sizeof(NetSegment),
+                  sizeof(seg));
+      CHECK_LE(offset_ + seg.length, body_.size());
+      *out = NetSegmentView(body_.subspan(offset_, seg.length), seg.trace_id,
+                            seg.parent_span);
+      offset_ += seg.length;
+    }
+    ++index_;
+    return true;
   }
-  return messages;
-}
+
+ private:
+  NetEvent event_;
+  std::span<const uint8_t> body_;
+  size_t count_;
+  size_t offset_;
+  size_t index_ = 0;
+};
 
 // Encodes a coalesced kData record for `sock`: descriptor table + payloads.
 // `segments` and `bytes` are parallel (bytes holds the concatenation).

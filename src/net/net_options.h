@@ -12,9 +12,13 @@
 //  * adaptive_copy — payload movement is charged through the rings'
 //    memcpy-vs-DMA policy (src/transport/adaptive_copy.h) instead of being
 //    a free host-side vector copy, attributed to the copy_dma stage.
-//  * drr_dispatch  — deficit-round-robin across data planes in the proxy's
-//    outbound pump and across sockets in the stub dispatcher, plus
-//    byte-backlog (not event-count) refresh of BalanceTarget::queue_depth.
+//  * drr_dispatch  — pipelined outbound dispatch at the proxy: each data
+//    plane's feeder claims ring records ahead of its worker, which hands
+//    every record's client-wire delivery off instead of waiting it out;
+//    plus byte-backlog (not event-count) refresh of
+//    BalanceTarget::queue_depth. The name is historical: no deficit round
+//    robin runs on the net path (each plane already has its own ring and
+//    worker, so there is nothing to share fairly).
 #ifndef SOLROS_SRC_NET_NET_OPTIONS_H_
 #define SOLROS_SRC_NET_NET_OPTIONS_H_
 
@@ -45,16 +49,21 @@ struct NetPathOptions {
   // Total staged+pending bytes per plug before senders backpressure.
   uint64_t staging_capacity = MiB(1);
 
-  // DRR byte quantum added to a queue's deficit each round.
+  // No effect: no net-path code reads it. Kept only because solbench
+  // (solbench/workloads.cc) prints every NetPathOptions field.
   uint32_t drr_quantum = KiB(16);
 
   // True when the send path stages at all (either mechanism needs a plug).
   bool staging_enabled() const { return coalescing || vectored_push; }
 };
 
-// Resolved knobs: explicit config wins, then SOLROS_NET_* environment,
-// then defaults (mirrors ResolveProxyShards). SOLROS_NET_BATCH=1 is the
-// fig19 shorthand for all four mechanisms at once.
+// Resolved knobs: each SOLROS_NET_* variable that is set overrides the
+// field in `base` (the programmatic config, itself defaulted), so the
+// environment wins over explicit config — unlike ResolveProxyShards, where
+// a configured shard count wins. SOLROS_NET_BATCH=1 turns all four
+// mechanisms on; the per-mechanism flags are applied after it, so
+// SOLROS_NET_BATCH=1 SOLROS_NET_DRR=0 is batching without pipelined
+// dispatch. Sized knobs accept positive values only and are clamped.
 inline NetPathOptions ResolveNetPathOptions(NetPathOptions base) {
   auto env_flag = [](const char* name, bool* out) {
     const char* v = std::getenv(name);
@@ -93,10 +102,6 @@ inline NetPathOptions ResolveNetPathOptions(NetPathOptions base) {
   env_u64("SOLROS_NET_PUSH_EVENTS", &u);
   base.max_events_per_push =
       static_cast<uint32_t>(std::clamp<uint64_t>(u, 1, 1024));
-  u = base.drr_quantum;
-  env_u64("SOLROS_NET_DRR_QUANTUM", &u);
-  base.drr_quantum =
-      static_cast<uint32_t>(std::clamp<uint64_t>(u, 256, MiB(1)));
   return base;
 }
 

@@ -1,6 +1,5 @@
 #include "src/net/net_stub.h"
 
-#include <deque>
 #include <utility>
 
 #include "src/base/fault.h"
@@ -53,62 +52,8 @@ Task<void> NetStub::EventDispatcher(NetStub* self) {
     if (!record.ok()) {
       break;  // ring closed
     }
-    NetEvent event = DecodePod<NetEvent>(*record);
-    if (event.kind == NetEventKind::kBatch ||
-        (event.kind == NetEventKind::kData && event.segments > 0)) {
-      // Coalesced or batched record (only produced when the proxy's plug
-      // mechanisms are on): split it back into per-message deliveries.
-      co_await self->DispatchRecord(*record,
-                                    self->inbound_->last_dequeue_stamp());
-      continue;
-    }
-    ++self->events_;
-    self->c_events_->Increment();
-    TraceContext ctx{event.trace_id, event.parent_span};
-    // Retroactive inbound-ring wait: [event ready, dequeued here] — the
-    // slice of the round trip spent queued behind the single dispatcher
-    // (same idiom as the RPC response ring, rpc.h).
-    if (Tracer* tracer = self->sim_->tracer();
-        tracer != nullptr && ctx.traced()) {
-      auto stamp = self->inbound_->last_dequeue_stamp();
-      if (stamp.has_value()) {
-        tracer->RecordSpan("ring", "net.queue.event", stamp->ready_at,
-                           stamp->dequeue_at, ctx);
-      }
-    }
-    ScopedSpan span(self->sim_, "netstub", "net.stub.dispatch", ctx);
-    switch (event.kind) {
-      case NetEventKind::kAccepted: {
-        // Make the connected socket's queues exist before any data event.
-        self->EnsureSocket(event.new_sock);
-        SocketState& listener = self->EnsureSocket(event.sock);
-        co_await listener.accept_queue->Send(event.new_sock);
-        break;
-      }
-      case NetEventKind::kData: {
-        SocketState& socket = self->EnsureSocket(event.sock);
-        std::vector<uint8_t> payload(record->begin() + sizeof(NetEvent),
-                                     record->end());
-        if (self->options_.adaptive_copy) {
-          co_await ChargeAdaptivePayloadCopyUnattributed(
-              self->params_, payload.size(), /*initiator_is_host=*/false);
-        }
-        ++self->messages_delivered_;
-        co_await socket.recv_queue->Send(
-            {std::move(payload), event.trace_id, event.parent_span});
-        break;
-      }
-      case NetEventKind::kPeerClosed: {
-        auto it = self->sockets_.find(event.sock);
-        if (it != self->sockets_.end() &&
-            it->second.recv_queue != nullptr) {
-          it->second.recv_queue->Close();
-        }
-        break;
-      }
-      case NetEventKind::kBatch:
-        break;  // unreachable: routed to DispatchRecord above
-    }
+    co_await self->DispatchRecord(*record,
+                                  self->inbound_->last_dequeue_stamp());
   }
 }
 
@@ -118,95 +63,49 @@ Task<void> NetStub::DispatchRecord(
   const NetEvent header = DecodePod<NetEvent>(record);
   const std::span<const uint8_t> body(record.data() + sizeof(NetEvent),
                                       record.size() - sizeof(NetEvent));
-  Tracer* tracer = sim_->tracer();
-  // Data messages from contiguous kData runs; controls act as barriers so
-  // per-socket event order (data before its kPeerClosed) is preserved even
-  // when DRR reorders deliveries across sockets within a run.
-  std::vector<std::pair<int64_t, NetSegmentView>> run;
-  for (const NetFrameView& frame : SplitBatch(header, body)) {
+  // Events and their messages are handled in record order, so per-socket
+  // order (data before its kPeerClosed) is the order the proxy sent.
+  NetFrameCursor frames(header, body);
+  for (NetFrameView frame; frames.Next(&frame);) {
     const NetEvent& event = frame.header;
     ++events_;
     c_events_->Increment();
-    if (event.kind == NetEventKind::kData) {
-      for (const NetSegmentView& message : SplitSegments(event, frame.body)) {
-        // Retroactive inbound-ring wait, per message: every message in the
-        // record waited out the same [ready, dequeue] interval.
-        if (tracer != nullptr && message.trace_id != 0 &&
-            stamp.has_value()) {
-          tracer->RecordSpan("ring", "net.queue.event", stamp->ready_at,
-                             stamp->dequeue_at,
-                             TraceContext{message.trace_id,
-                                          message.parent_span});
-        }
-        run.emplace_back(event.sock, message);
-      }
+    if (event.kind != NetEventKind::kData) {
+      RecordQueueWait(event.trace_id, event.parent_span, stamp);
+      co_await HandleControlEvent(event);
       continue;
     }
-    co_await DeliverRun(&run);
-    if (tracer != nullptr && event.trace_id != 0 && stamp.has_value()) {
-      tracer->RecordSpan("ring", "net.queue.event", stamp->ready_at,
-                         stamp->dequeue_at,
-                         TraceContext{event.trace_id, event.parent_span});
-    }
-    co_await HandleControlEvent(event);
-  }
-  co_await DeliverRun(&run);
-}
-
-Task<void> NetStub::DeliverRun(
-    std::vector<std::pair<int64_t, NetSegmentView>>* run) {
-  if (run->empty()) {
-    co_return;
-  }
-  if (!options_.drr_dispatch || run->size() == 1) {
-    for (auto& [sock, message] : *run) {
-      co_await DeliverMessage(sock, message);
-    }
-  } else {
-    // Deficit round robin across the run's sockets: one chatty connection
-    // in a batch cannot monopolize the dispatcher ahead of the others.
-    // Per-socket delivery order is untouched.
-    std::map<int64_t, std::deque<NetSegmentView>> per_sock;
-    for (auto& [sock, message] : *run) {
-      per_sock[sock].push_back(message);
-    }
-    std::map<int64_t, uint64_t> deficit;
-    size_t remaining = run->size();
-    while (remaining > 0) {
-      for (auto& [sock, queue] : per_sock) {
-        if (queue.empty()) {
-          deficit[sock] = 0;
-          continue;
-        }
-        // Credit accumulates across sweeps, so a message larger than one
-        // quantum still drains after finitely many rounds.
-        deficit[sock] += options_.drr_quantum;
-        while (!queue.empty() &&
-               queue.front().payload.size() <= deficit[sock]) {
-          deficit[sock] -= queue.front().payload.size();
-          co_await DeliverMessage(sock, queue.front());
-          queue.pop_front();
-          --remaining;
-        }
+    NetSegmentCursor messages(event, frame.body);
+    for (NetSegmentView message; messages.Next(&message);) {
+      RecordQueueWait(message.trace_id, message.parent_span, stamp);
+      ScopedSpan span(sim_, "netstub", "net.stub.dispatch",
+                      TraceContext{message.trace_id, message.parent_span});
+      SocketState& socket = EnsureSocket(event.sock);
+      std::vector<uint8_t> payload(message.payload.begin(),
+                                   message.payload.end());
+      if (options_.adaptive_copy) {
+        co_await ChargeAdaptivePayloadCopyUnattributed(
+            params_, payload.size(), /*initiator_is_host=*/false);
       }
+      ++messages_delivered_;
+      co_await socket.recv_queue->Send(
+          {std::move(payload), message.trace_id, message.parent_span});
     }
   }
-  run->clear();
 }
 
-Task<void> NetStub::DeliverMessage(int64_t sock, NetSegmentView message) {
-  TraceContext ctx{message.trace_id, message.parent_span};
-  ScopedSpan span(sim_, "netstub", "net.stub.dispatch", ctx);
-  SocketState& socket = EnsureSocket(sock);
-  std::vector<uint8_t> payload(message.payload.begin(),
-                               message.payload.end());
-  if (options_.adaptive_copy) {
-    co_await ChargeAdaptivePayloadCopyUnattributed(
-        params_, payload.size(), /*initiator_is_host=*/false);
+void NetStub::RecordQueueWait(
+    uint64_t trace_id, uint64_t parent_span,
+    const std::optional<SimRing::DequeueStamp>& stamp) {
+  // Retroactive inbound-ring wait: [event ready, dequeued here] — the slice
+  // of the round trip spent queued behind the single dispatcher (same idiom
+  // as the RPC response ring, rpc.h). Every message in a record waited out
+  // the same interval.
+  if (Tracer* tracer = sim_->tracer();
+      tracer != nullptr && trace_id != 0 && stamp.has_value()) {
+    tracer->RecordSpan("ring", "net.queue.event", stamp->ready_at,
+                       stamp->dequeue_at, TraceContext{trace_id, parent_span});
   }
-  ++messages_delivered_;
-  co_await socket.recv_queue->Send(
-      {std::move(payload), message.trace_id, message.parent_span});
 }
 
 Task<void> NetStub::HandleControlEvent(NetEvent event) {
@@ -214,6 +113,7 @@ Task<void> NetStub::HandleControlEvent(NetEvent event) {
   ScopedSpan span(sim_, "netstub", "net.stub.dispatch", ctx);
   switch (event.kind) {
     case NetEventKind::kAccepted: {
+      // Make the connected socket's queues exist before any data event.
       EnsureSocket(event.new_sock);
       SocketState& listener = EnsureSocket(event.sock);
       co_await listener.accept_queue->Send(event.new_sock);

@@ -81,18 +81,14 @@ class NetStub : public ServerSocketApi {
   };
 
   static Task<void> EventDispatcher(NetStub* self);
-  // Services a coalesced/batched inbound record (any record with kBatch or
-  // a non-zero segment table): splits it back into per-message deliveries
-  // so ServerApi semantics match the uncoalesced wire exactly. With
-  // drr_dispatch on, contiguous runs of data messages are delivered
-  // deficit-round-robin across sockets (per-socket order preserved).
-  // `record` stays alive in the dispatcher's frame.
+  // Services one inbound record, whatever its layout (legacy, coalesced,
+  // or kBatch of either): splits it back into per-message deliveries so
+  // ServerApi semantics match the uncoalesced wire exactly. `record` stays
+  // alive in the dispatcher's frame.
   Task<void> DispatchRecord(const std::vector<uint8_t>& record,
                             std::optional<SimRing::DequeueStamp> stamp);
-  // Delivers one contiguous run of data messages and clears it. Views in
-  // `run` alias the record held by DispatchRecord's frame.
-  Task<void> DeliverRun(std::vector<std::pair<int64_t, NetSegmentView>>* run);
-  Task<void> DeliverMessage(int64_t sock, NetSegmentView message);
+  void RecordQueueWait(uint64_t trace_id, uint64_t parent_span,
+                       const std::optional<SimRing::DequeueStamp>& stamp);
   Task<void> HandleControlEvent(NetEvent event);
   SocketState& EnsureSocket(int64_t handle);
 

@@ -1,6 +1,5 @@
 #include "src/net/tcp_proxy.h"
 
-#include <algorithm>
 #include <utility>
 
 #include "src/base/logging.h"
@@ -42,10 +41,6 @@ TcpProxy::TcpProxy(Simulator* sim, const HwParams& params,
       ethernet_(ethernet),
       options_(net_options),
       policy_(std::move(policy)),
-      drr_ready_(sim),
-      drr_space_(sim),
-      work_ready_(sim),
-      work_space_(sim),
       c_rpcs_(MetricRegistry::Default().GetCounter("net.proxy.rpcs")),
       c_shard_handoffs_(
           MetricRegistry::Default().GetCounter("net.proxy.shard_handoffs")),
@@ -116,12 +111,10 @@ void TcpProxy::AttachDataPlane(uint32_t dataplane_id, SimRing* rpc_request,
       });
   dataplane.rpc->Start();
   if (options_.drr_dispatch) {
-    Spawn(*sim_, OutboundFeeder(this, &dataplane));
-    Spawn(*sim_, DrrPlaneWorker(this, &dataplane));
-    if (!drr_pump_running_) {
-      drr_pump_running_ = true;
-      Spawn(*sim_, DrrOutboundPump(this));
-    }
+    dataplane.claimed = std::make_unique<Channel<OutboundItem>>(
+        sim_, kOutboundClaimAhead - 1);
+    Spawn(*sim_, OutboundFeeder(&dataplane));
+    Spawn(*sim_, OutboundWorker(this, &dataplane));
   } else {
     Spawn(*sim_, OutboundPump(this, &dataplane));
   }
@@ -417,106 +410,27 @@ Task<void> TcpProxy::OutboundPump(TcpProxy* self, DataPlane* dataplane) {
   }
 }
 
-Task<void> TcpProxy::OutboundFeeder(TcpProxy* self, DataPlane* dataplane) {
-  ++self->live_feeders_;
+Task<void> TcpProxy::OutboundFeeder(DataPlane* dataplane) {
   while (true) {
     auto record = co_await dataplane->outbound->Receive();
     if (!record.ok()) {
       break;  // ring closed
     }
-    dataplane->drr_queue.emplace_back(
-        std::move(*record), dataplane->outbound->last_dequeue_stamp());
-    ++self->drr_epoch_;
-    self->drr_ready_.NotifyAll();
-    // Bounded claim-ahead: keep ring backpressure meaningful while giving
-    // the pump enough lookahead to round-robin across planes.
-    while (dataplane->drr_queue.size() >= kDrrFeederCredit) {
-      co_await self->drr_space_.Wait();
-    }
+    // Blocks once kOutboundClaimAhead records wait on the worker.
+    co_await dataplane->claimed->Send(OutboundItem(
+        std::move(*record), dataplane->outbound->last_dequeue_stamp()));
   }
-  --self->live_feeders_;
-  ++self->drr_epoch_;
-  self->drr_ready_.NotifyAll();
+  dataplane->claimed->Close();
 }
 
-Task<void> TcpProxy::DrrOutboundPump(TcpProxy* self) {
+Task<void> TcpProxy::OutboundWorker(TcpProxy* self, DataPlane* dataplane) {
   while (true) {
-    bool progressed = false;
-    bool blocked_on_worker = false;
-    for (auto& [id, dataplane] : self->dataplanes_) {
-      if (dataplane.drr_queue.empty()) {
-        dataplane.drr_deficit = 0;  // classic DRR: idle queues hold no credit
-        continue;
-      }
-      // Credit is capped so a plane stalled behind a full worker queue (or
-      // an oversized head record) cannot bank unbounded deficit and burst
-      // past the others when it unblocks; the cap still admits any record
-      // the plug can emit.
-      const uint64_t cap =
-          self->options_.drr_quantum +
-          std::max<uint64_t>(self->options_.max_push_bytes,
-                             dataplane.drr_queue.front().record.size());
-      dataplane.drr_deficit =
-          std::min(dataplane.drr_deficit + self->options_.drr_quantum, cap);
-      while (!dataplane.drr_queue.empty() &&
-             dataplane.drr_queue.front().record.size() <=
-                 dataplane.drr_deficit) {
-        if (dataplane.work.size() >= kWorkerBacklog) {
-          blocked_on_worker = true;
-          break;
-        }
-        OutboundItem item = std::move(dataplane.drr_queue.front());
-        dataplane.drr_queue.pop_front();
-        dataplane.drr_deficit -= item.record.size();
-        self->drr_space_.NotifyAll();
-        dataplane.work.push_back(std::move(item));
-        self->work_ready_.NotifyAll();
-        progressed = true;
-      }
-      // A record larger than the accumulated deficit waits for the next
-      // round's quantum (its plane keeps the credit).
+    std::optional<OutboundItem> item = co_await dataplane->claimed->Receive();
+    if (!item.has_value()) {
+      break;  // ring closed and every claimed record serviced
     }
-    bool any_queued = false;
-    for (auto& [id, dataplane] : self->dataplanes_) {
-      any_queued |= !dataplane.drr_queue.empty();
-    }
-    if (any_queued) {
-      if (progressed) {
-        continue;
-      }
-      if (blocked_on_worker) {
-        co_await self->work_space_.Wait();
-        continue;
-      }
-      // Only oversized heads remain: iterate so they accumulate credit
-      // (bounded — the cap above admits them within a few rounds).
-      continue;
-    }
-    if (self->live_feeders_ == 0) {
-      break;  // all rings closed and drained
-    }
-    const uint64_t epoch = self->drr_epoch_;
-    while (self->drr_epoch_ == epoch) {
-      co_await self->drr_ready_.Wait();
-    }
-  }
-  self->drr_pump_done_ = true;
-  self->work_ready_.NotifyAll();
-}
-
-Task<void> TcpProxy::DrrPlaneWorker(TcpProxy* self, DataPlane* dataplane) {
-  while (true) {
-    while (dataplane->work.empty() && !self->drr_pump_done_) {
-      co_await self->work_ready_.Wait();
-    }
-    if (dataplane->work.empty()) {
-      break;  // pump done and nothing left admitted for this plane
-    }
-    OutboundItem item = std::move(dataplane->work.front());
-    dataplane->work.pop_front();
-    self->work_space_.NotifyAll();
-    co_await self->ProcessOutboundRecord(dataplane, std::move(item.record),
-                                         item.stamp);
+    co_await self->ProcessOutboundRecord(dataplane, std::move(item->record),
+                                         item->stamp);
   }
 }
 
@@ -540,7 +454,8 @@ Task<void> TcpProxy::ProcessOutboundRecord(
                                 record.size() - sizeof(NetEvent));
   // One event for legacy/coalesced records; several for a kBatch frame.
   // `record` stays alive in this frame, so the views remain valid.
-  for (NetFrameView& frame : SplitBatch(header, body)) {
+  NetFrameCursor frames(header, body);
+  for (NetFrameView frame; frames.Next(&frame);) {
     co_await ProcessOutboundEvent(dataplane, frame, stamp);
   }
 }
@@ -551,24 +466,29 @@ Task<void> TcpProxy::ProcessOutboundEvent(
   const NetEvent& header = frame.header;
   // One message for the legacy layout; the staged messages of a coalesced
   // event otherwise. Per-message contexts ride the segment descriptors.
-  std::vector<NetSegmentView> messages = SplitSegments(header, frame.body);
+  const NetSegmentCursor messages(header, frame.body);
   uint64_t message_bytes = 0;
-  for (const NetSegmentView& m : messages) {
+  // Service-span context: the first traced message (the only one for
+  // legacy records; later segments' service share lands in their traces'
+  // residual stub bucket — attribution stays exact either way).
+  TraceContext ctx;
+  Tracer* tracer = stamp.has_value() ? sim_->tracer() : nullptr;
+  NetSegmentCursor scan = messages;
+  for (NetSegmentView m; scan.Next(&m);) {
     message_bytes += m.payload.size();
-  }
-  // Retroactive queue-wait span(s): how long the stub's send sat ready in
-  // the outbound ring before the pump claimed it. Every traced message in
-  // the record shared that wait.
-  if (Tracer* tracer = sim_->tracer();
-      tracer != nullptr && stamp.has_value()) {
-    for (const NetSegmentView& m : messages) {
-      if (m.trace_id != 0) {
-        TraceContext seg_ctx;
-        seg_ctx.trace_id = m.trace_id;
-        seg_ctx.parent_span = m.parent_span;
-        tracer->RecordSpan("ring", "net.queue.event", stamp->ready_at,
-                           stamp->dequeue_at, seg_ctx);
-      }
+    if (m.trace_id == 0) {
+      continue;
+    }
+    if (!ctx.traced()) {
+      ctx = TraceContext{m.trace_id, m.parent_span};
+    }
+    // Retroactive queue-wait span: how long the stub's send sat ready in
+    // the outbound ring before the proxy claimed it. Every traced message
+    // in the record shared that wait.
+    if (tracer != nullptr) {
+      tracer->RecordSpan("ring", "net.queue.event", stamp->ready_at,
+                         stamp->dequeue_at,
+                         TraceContext{m.trace_id, m.parent_span});
     }
   }
   auto it = sockets_.find(header.sock);
@@ -580,17 +500,6 @@ Task<void> TcpProxy::ProcessOutboundEvent(
   Shard& shard = shards_[it->second.shard];
   if (shard.use != nullptr) {
     shard.use->QueueDelta(sim_->now(), +1);
-  }
-  // Service-span context: the first traced message (the only one for
-  // legacy records; later segments' service share lands in their traces'
-  // residual stub bucket — attribution stays exact either way).
-  TraceContext ctx;
-  for (const NetSegmentView& m : messages) {
-    if (m.trace_id != 0) {
-      ctx.trace_id = m.trace_id;
-      ctx.parent_span = m.parent_span;
-      break;
-    }
   }
   {
     // Transmit-side service span. Scoped to the shard compute only — it
@@ -608,9 +517,9 @@ Task<void> TcpProxy::ProcessOutboundEvent(
                                          /*initiator_is_host=*/true,
                                          span.context());
     }
-    stats_.outbound_messages += messages.size();
+    stats_.outbound_messages += messages.count();
     stats_.outbound_bytes += message_bytes;
-    c_outbound_messages_->Increment(messages.size());
+    c_outbound_messages_->Increment(messages.count());
     c_outbound_bytes_->Increment(message_bytes);
   }
   // Deliver each original message separately: client framing is preserved
@@ -621,23 +530,21 @@ Task<void> TcpProxy::ProcessOutboundEvent(
     // order holds (trains spawn in worker order; the downlink is FIFO with
     // fixed latency).
     std::vector<std::pair<TraceContext, std::vector<uint8_t>>> train;
-    train.reserve(messages.size());
-    for (const NetSegmentView& m : messages) {
-      TraceContext m_ctx;
-      m_ctx.trace_id = m.trace_id;
-      m_ctx.parent_span = m.parent_span;
-      train.emplace_back(m_ctx, std::vector<uint8_t>(m.payload.begin(),
-                                                     m.payload.end()));
+    train.reserve(messages.count());
+    NetSegmentCursor cursor = messages;
+    for (NetSegmentView m; cursor.Next(&m);) {
+      train.emplace_back(
+          TraceContext{m.trace_id, m.parent_span},
+          std::vector<uint8_t>(m.payload.begin(), m.payload.end()));
     }
     Spawn(*sim_, DeliverTrain(this, it->second.conn_id, std::move(train)));
   } else {
-    for (const NetSegmentView& m : messages) {
-      TraceContext m_ctx;
-      m_ctx.trace_id = m.trace_id;
-      m_ctx.parent_span = m.parent_span;
+    NetSegmentCursor cursor = messages;
+    for (NetSegmentView m; cursor.Next(&m);) {
       Status status = co_await ethernet_->DeliverToClient(
           it->second.conn_id,
-          std::vector<uint8_t>(m.payload.begin(), m.payload.end()), m_ctx);
+          std::vector<uint8_t>(m.payload.begin(), m.payload.end()),
+          TraceContext{m.trace_id, m.parent_span});
       if (!status.ok() && status.code() != ErrorCode::kNotConnected) {
         LOG(WARNING) << "outbound deliver failed: " << status.ToString();
       }

@@ -15,7 +15,6 @@
 #ifndef SOLROS_SRC_NET_TCP_PROXY_H_
 #define SOLROS_SRC_NET_TCP_PROXY_H_
 
-#include <deque>
 #include <map>
 #include <memory>
 #include <optional>
@@ -34,6 +33,7 @@
 #include "src/net/net_plug.h"
 #include "src/rpc/messages.h"
 #include "src/rpc/rpc.h"
+#include "src/sim/sync.h"
 #include "src/transport/sim_ring.h"
 
 namespace solros {
@@ -127,9 +127,9 @@ class TcpProxy : public ServerPort {
 
  private:
   // One claimed outbound ring record plus its dequeue stamp (captured at
-  // Receive time; the DRR pump processes it later). Deliberately not an
-  // aggregate — see NetStub::RecvItem for the GCC 12 coroutine-parameter
-  // pitfall.
+  // Receive time; the plane's worker processes it later). Deliberately not
+  // an aggregate — see NetStub::RecvItem for the GCC 12
+  // coroutine-parameter pitfall.
   struct OutboundItem {
     OutboundItem() = default;
     OutboundItem(std::vector<uint8_t> r,
@@ -146,13 +146,12 @@ class TcpProxy : public ServerPort {
     // Send-side staging for the inbound ring (DESIGN.md §5.5); passthrough
     // when both staging mechanisms are off.
     std::unique_ptr<NetPlug> plug;
-    // DRR outbound state (options.drr_dispatch): records claimed by this
-    // plane's feeder, admitted fairly by the shared pump into `work`, and
-    // serviced by this plane's worker — planes process concurrently, DRR
-    // only decides admission order.
-    std::deque<OutboundItem> drr_queue;
-    std::deque<OutboundItem> work;
-    uint64_t drr_deficit = 0;
+    // Pipelined dispatch (options.drr_dispatch): records this plane's
+    // feeder claimed from the outbound ring, in ring order, for this
+    // plane's worker. Every plane has its own ring, feeder, channel and
+    // worker, so one plane's outbound backlog never queues in front of
+    // another plane's records.
+    std::unique_ptr<Channel<OutboundItem>> claimed;
   };
   // One event-loop shard: a dedicated core plus its USE series
   // ("net.proxy[k]"; the unsharded proxy is one shard named "net.proxy").
@@ -176,17 +175,12 @@ class TcpProxy : public ServerPort {
 
   Task<NetResponse> HandleRpc(uint32_t dataplane_id, NetRequest request);
   static Task<void> OutboundPump(TcpProxy* self, DataPlane* dataplane);
-  // DRR mode: one feeder per plane claims ring records into drr_queue; the
-  // single shared pump sweeps planes deficit-round-robin so one hot phi
-  // cannot starve the rest.
-  static Task<void> OutboundFeeder(TcpProxy* self, DataPlane* dataplane);
-  static Task<void> DrrOutboundPump(TcpProxy* self);
-  // DRR mode: services one plane's admitted records, concurrently with the
-  // other planes' workers (the pump alone would serialize every plane's
-  // shard compute and wire hops behind one loop).
-  static Task<void> DrrPlaneWorker(TcpProxy* self, DataPlane* dataplane);
-  // DRR mode: client-wire delivery of one record's messages, spawned off
-  // the worker loop so the NIC hop overlaps the next record's shard
+  // Pipelined mode: the feeder claims ring records into the plane's
+  // `claimed` channel while the worker services the ones before them.
+  static Task<void> OutboundFeeder(DataPlane* dataplane);
+  static Task<void> OutboundWorker(TcpProxy* self, DataPlane* dataplane);
+  // Pipelined mode: client-wire delivery of one record's messages, spawned
+  // off the worker loop so the NIC hop overlaps the next record's shard
   // compute. Per-connection order is preserved: one worker per plane emits
   // the trains in order and the downlink wire is FIFO with fixed latency.
   static Task<void> DeliverTrain(
@@ -222,23 +216,11 @@ class TcpProxy : public ServerPort {
   int64_t next_handle_ = 1;
   TcpProxyStats stats_;
   std::unique_ptr<ConnTracker> conntrack_;
-  // DRR pump coordination: feeders bump the epoch and notify on every
-  // claimed record; the pump waits when every plane's queue is empty.
-  Condition drr_ready_;
-  Condition drr_space_;
-  // Worker coordination: the pump notifies work_ready_ on every admission,
-  // workers notify work_space_ on every claim, and drr_pump_done_ releases
-  // idle workers once every feeder has drained.
-  Condition work_ready_;
-  Condition work_space_;
-  uint64_t drr_epoch_ = 0;
-  int live_feeders_ = 0;
-  bool drr_pump_running_ = false;
-  bool drr_pump_done_ = false;
-  static constexpr size_t kDrrFeederCredit = 16;
-  // Per-plane admitted-but-unserviced bound: deep enough to keep a worker
-  // busy, shallow enough that DRR order still decides service order.
-  static constexpr size_t kWorkerBacklog = 4;
+  // Pipelined mode: records a plane may have claimed from its outbound
+  // ring ahead of the one its worker is servicing — the `claimed` channel's
+  // capacity plus the one record a blocked feeder holds. Bounded so ring
+  // backpressure still reaches the stub.
+  static constexpr size_t kOutboundClaimAhead = 20;
   // Process counters, resolved once at construction instead of a registry
   // map lookup per message on the hot paths (FsProxy does the same).
   Counter* const c_rpcs_;

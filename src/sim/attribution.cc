@@ -49,9 +49,14 @@ Nanos ClampSub(Nanos a, Nanos b, bool* exact) {
 }  // namespace
 
 std::vector<StageBreakdown> ComputeStageBreakdowns(const Tracer& tracer) {
+  return ComputeStageBreakdowns(tracer.spans());
+}
+
+std::vector<StageBreakdown> ComputeStageBreakdowns(
+    std::span<const SpanRecord> spans) {
   // std::map keys the result on trace id => deterministic order.
   std::map<uint64_t, TraceSums> sums;
-  for (const SpanRecord& span : tracer.spans()) {
+  for (const SpanRecord& span : spans) {
     if (span.open || span.trace_id == 0) {
       continue;
     }

@@ -45,6 +45,7 @@
 #define SOLROS_SRC_SIM_ATTRIBUTION_H_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "src/sim/simulator.h"
@@ -71,7 +72,11 @@ struct StageBreakdown {
 };
 
 // One breakdown per trace id whose root span closed, ordered by trace id
-// (deterministic). Traces whose root span never closed are skipped.
+// (deterministic). Traces whose root span never closed are skipped. The
+// span-list form also serves tools/trace_summary, which reads the spans
+// back from an exported trace file.
+std::vector<StageBreakdown> ComputeStageBreakdowns(
+    std::span<const SpanRecord> spans);
 std::vector<StageBreakdown> ComputeStageBreakdowns(const Tracer& tracer);
 
 // Feeds each breakdown's stages into the process MetricRegistry latency

@@ -5,13 +5,15 @@
 #   tools/bench_baseline.sh check  [base.json]  # re-run fig11/fig12, fail on >10%
 #                                               # buffered-throughput regression
 #
-# Runs the short (SOLROS_BENCH_QUICK) fig11/fig12/fig17 configs plus the
-# cache_paths staged-path bench with --csv, and emits a machine-readable
+# Runs the short (SOLROS_BENCH_QUICK) fig11/fig12/fig17 configs, the
+# fig19 connection storm (legacy and batched net path) and the cache_paths
+# staged-path bench with --csv, and emits a machine-readable
 # BENCH_baseline.json (one row object per line so `check` can parse it with
 # awk — no JSON tooling required). `record` captures every figure twice:
 # "legacy" = staged-path features disabled (seed-equivalent behavior) and
 # "current" = defaults, so the file documents both the seed numbers and the
-# trajectory CI protects.
+# trajectory CI protects. fig19 carries its two configurations as rows
+# (batch-off / batch-on) and runs once.
 set -euo pipefail
 
 BUILD_DIR="${BUILD_DIR:-build}"
@@ -58,6 +60,17 @@ parse_fig17() { # <variant>
   '
 }
 
+# fig19 output -> "fig19,config,conns,ops,doorbells,ev_per_push,p99_us,fairness"
+# from the full-precision csv block (the first row of each config; the
+# table's rounded csv block repeats them).
+parse_fig19() {
+  awk -F, '
+    ($1 == "batch-off" || $1 == "batch-on") && !seen[$1]++ {
+      print "fig19," $0
+    }
+  '
+}
+
 # cache_paths output -> "cache_paths,variant,scenario,mode,gbps,cmds"
 # plus the summary ratios on stderr-free lines "ratio,<name>,<value>".
 parse_cache_paths() {
@@ -84,6 +97,10 @@ json_escape_rows() { # stdin: csv rows -> JSON row objects, one per line
       printf "    {\"fig\": \"fig17\", \"variant\": \"%s\", \"app\": \"%s\", \"config\": \"%s\", \"time_ms\": %s},\n",
              $2, $3, $4, $5
     }
+    $1 == "fig19" {
+      printf "    {\"fig\": \"fig19\", \"config\": \"%s\", \"conns\": %s, \"ops_per_s\": %s, \"doorbells\": %s, \"ev_per_push\": %s, \"p99_us\": %s, \"fairness\": %s},\n",
+             $2, $3, $4, $5, $6, $7, $8
+    }
     $1 == "cache_paths" {
       printf "    {\"fig\": \"cache_paths\", \"scenario\": \"%s\", \"variant\": \"%s\", \"gbps\": %s, \"nvme_cmds\": %s},\n",
              $2, $3, $4, $5
@@ -105,6 +122,8 @@ record() {
   echo ">> fig17 (current + legacy)" >&2
   run_bench fig17_applications 0 | parse_fig17 current >>"$tmp/rows"
   run_bench fig17_applications 1 | parse_fig17 legacy >>"$tmp/rows"
+  echo ">> fig19 (batch-off + batch-on)" >&2
+  run_bench fig19_connection_storm 0 | parse_fig19 >>"$tmp/rows"
   echo ">> cache_paths" >&2
   run_bench cache_paths 0 | parse_cache_paths >"$tmp/cache"
   grep -v '^ratio,' "$tmp/cache" >>"$tmp/rows"

@@ -1,15 +1,15 @@
 // trace_summary: per-stage latency percentiles from a Chrome trace file.
 //
-// Reads a trace exported by Tracer::ExportChromeTrace (--trace-out) and
-// rebuilds the per-request stage attribution offline, mirroring
-// src/sim/attribution.cc: for every trace id the root span is the
-// end-to-end view, and its time is split into queue-wait, device, DMA
-// copy, proxy, and stub remainders. Prints one row per stage with count,
-// p50, p99, and max, so a captured trace can be summarized without
-// re-running the benchmark. Untraced net data-path pump spans
-// (net.proxy.inbound/outbound) get their own rows instead of being
-// dropped — the pumps serve no single request, so they never carry a
-// trace id.
+// Reads a trace exported by Tracer::ExportChromeTrace (--trace-out) back
+// into span records and runs the simulator's own per-request attribution
+// (ComputeStageBreakdowns, src/sim/attribution.h) over them: for every
+// trace id the root span is the end-to-end view, and its time is split
+// into queue-wait, device, DMA copy, proxy, and stub remainders. Prints
+// one row per stage with count, p50, p99, and max, so a captured trace can
+// be summarized without re-running the benchmark. Untraced net data-path
+// pump spans (net.proxy.inbound/outbound) get their own rows instead of
+// being dropped — the pumps serve no single request, so they never carry
+// a trace id.
 //
 // Usage: trace_summary <trace.json>
 //
@@ -20,24 +20,17 @@
 #include <cstdio>
 #include <fstream>
 #include <iostream>
-#include <map>
 #include <sstream>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "src/base/histogram.h"
+#include "src/sim/attribution.h"
+#include "src/sim/trace.h"
 
 namespace solros {
 namespace {
-
-struct Event {
-  std::string name;
-  uint64_t begin_ns = 0;
-  uint64_t dur_ns = 0;
-  uint64_t trace_id = 0;
-  uint64_t parent = 0;
-};
 
 // Parses the "12.345" micros-with-nanos timestamps the exporter emits
 // back into integer nanoseconds. Returns false on malformed input.
@@ -105,9 +98,10 @@ uint64_t NumberField(std::string_view obj, std::string_view key) {
 }
 
 // Splits the file into top-level event objects, tracking brace depth and
-// quoting so nested "args" objects stay attached to their event.
-std::vector<Event> ParseEvents(const std::string& text) {
-  std::vector<Event> events;
+// quoting so nested "args" objects stay attached to their event. Every
+// exported "X" event is a closed span.
+std::vector<SpanRecord> ParseSpans(const std::string& text) {
+  std::vector<SpanRecord> spans;
   int depth = 0;
   bool in_string = false;
   size_t obj_start = 0;
@@ -133,34 +127,25 @@ std::vector<Event> ParseEvents(const std::string& text) {
         if (RawField(obj, "ph") != "X") {
           continue;
         }
-        Event e;
-        e.name = std::string(RawField(obj, "name"));
-        if (!ParseMicros(RawField(obj, "ts"), &e.begin_ns) ||
-            !ParseMicros(RawField(obj, "dur"), &e.dur_ns)) {
+        SpanRecord span;
+        span.name = std::string(RawField(obj, "name"));
+        uint64_t begin_ns = 0;
+        uint64_t dur_ns = 0;
+        if (!ParseMicros(RawField(obj, "ts"), &begin_ns) ||
+            !ParseMicros(RawField(obj, "dur"), &dur_ns)) {
           continue;
         }
-        e.trace_id = NumberField(obj, "trace");
-        e.parent = NumberField(obj, "parent");
-        events.push_back(std::move(e));
+        span.begin = begin_ns;
+        span.end = begin_ns + dur_ns;
+        span.open = false;
+        span.trace_id = NumberField(obj, "trace");
+        span.parent = NumberField(obj, "parent");
+        spans.push_back(std::move(span));
       }
     }
   }
-  return events;
+  return spans;
 }
-
-struct Stages {
-  uint64_t total = 0;
-  uint64_t queue = 0;
-  uint64_t device = 0;
-  uint64_t copy = 0;
-  uint64_t iosched = 0;
-  uint64_t service = 0;
-  uint64_t wire = 0;
-  uint64_t dispatch = 0;
-  bool has_root = false;
-};
-
-uint64_t ClampSub(uint64_t a, uint64_t b) { return a > b ? a - b : 0; }
 
 std::string FormatUs(uint64_t ns) {
   char buf[32];
@@ -176,47 +161,20 @@ int Run(const char* path) {
   }
   std::ostringstream buffer;
   buffer << in.rdbuf();
-  std::vector<Event> events = ParseEvents(buffer.str());
+  std::vector<SpanRecord> spans = ParseSpans(buffer.str());
 
-  // Same bucketing as ComputeStageBreakdowns: root spans carry the
-  // end-to-end time; queue/device/copy/service sums come off named spans.
   // Net data-path pump spans (net.proxy.inbound/outbound) are untraced —
   // the pumps serve no single request — so they are collected globally
-  // here instead of per trace id.
-  std::map<uint64_t, Stages> by_trace;
+  // here; the attribution pass skips untraced spans.
   Histogram net_inbound, net_outbound;
-  for (const Event& e : events) {
-    if (e.trace_id == 0) {
-      if (e.name == "net.proxy.inbound") {
-        net_inbound.Record(e.dur_ns);
-      } else if (e.name == "net.proxy.outbound") {
-        net_outbound.Record(e.dur_ns);
-      }
+  for (const SpanRecord& span : spans) {
+    if (span.trace_id != 0) {
       continue;
     }
-    Stages& s = by_trace[e.trace_id];
-    if (e.parent == 0) {
-      s.total += e.dur_ns;
-      s.has_root = true;
-    } else if (e.name == "rpc.queue.req" || e.name == "rpc.queue.resp" ||
-               e.name == "net.queue.event" || e.name == "net.plug.wait") {
-      s.queue += e.dur_ns;
-    } else if (e.name == "nvme.batch") {
-      s.device += e.dur_ns;
-    } else if (e.name == "dma.copy") {
-      s.copy += e.dur_ns;
-    } else if (e.name == "iosched.queue") {
-      s.iosched += e.dur_ns;
-    } else if (e.name == "fs.proxy.service" || e.name == "net.proxy.rpc" ||
-               e.name == "net.proxy.inbound" ||
-               e.name == "net.proxy.outbound" ||
-               e.name == "net.server.stack") {
-      s.service += e.dur_ns;
-    } else if (e.name == "net.wire.transit") {
-      s.wire += e.dur_ns;
-    } else if (e.name == "net.stub.dispatch" ||
-               e.name == "net.server.dispatch") {
-      s.dispatch += e.dur_ns;
+    if (span.name == "net.proxy.inbound") {
+      net_inbound.Record(span.end - span.begin);
+    } else if (span.name == "net.proxy.outbound") {
+      net_outbound.Record(span.end - span.begin);
     }
   }
 
@@ -224,43 +182,35 @@ int Run(const char* path) {
   // percentile rows; clamped requests (fault retries with overlapping
   // spans) are counted and reported as a fraction instead of silently
   // skewing the distribution.
+  const std::vector<StageBreakdown> breakdowns = ComputeStageBreakdowns(spans);
   Histogram total, stub, queue, iosched, proxy, copy, device, wire,
       dispatch;
-  size_t requests = 0;
+  const size_t requests = breakdowns.size();
   size_t exact_requests = 0;
-  for (const auto& [trace_id, s] : by_trace) {
-    if (!s.has_root) {
-      continue;
-    }
-    ++requests;
-    uint64_t inner = s.device + s.copy + s.iosched;
-    uint64_t named = s.queue + s.service + s.wire + s.dispatch;
-    bool exact = s.service >= inner && s.total >= named;
-    if (!exact) {
+  for (const StageBreakdown& b : breakdowns) {
+    if (!b.exact) {
       continue;
     }
     ++exact_requests;
-    uint64_t proxy_ns = ClampSub(s.service, inner);
-    uint64_t stub_ns = ClampSub(s.total, named);
-    total.Record(s.total);
-    stub.Record(stub_ns);
-    queue.Record(s.queue);
-    iosched.Record(s.iosched);
-    proxy.Record(proxy_ns);
-    copy.Record(s.copy);
-    device.Record(s.device);
-    wire.Record(s.wire);
-    dispatch.Record(s.dispatch);
+    total.Record(b.total);
+    stub.Record(b.stub);
+    queue.Record(b.queue_wait);
+    iosched.Record(b.iosched_wait);
+    proxy.Record(b.proxy);
+    copy.Record(b.copy_dma);
+    device.Record(b.device);
+    wire.Record(b.wire);
+    dispatch.Record(b.dispatch);
   }
   if (requests == 0 && net_inbound.count() == 0 &&
       net_outbound.count() == 0) {
     std::cerr << "trace_summary: no closed traced requests in " << path
-              << " (" << events.size() << " spans scanned)\n";
+              << " (" << spans.size() << " spans scanned)\n";
     return 1;
   }
 
   std::cout << "trace_summary: " << requests << " traced request"
-            << (requests == 1 ? "" : "s") << ", " << events.size()
+            << (requests == 1 ? "" : "s") << ", " << spans.size()
             << " spans\n";
   if (requests > 0) {
     std::printf("exact: %zu/%zu (%.3f) — only exact requests feed the "
