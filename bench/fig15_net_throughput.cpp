@@ -10,6 +10,8 @@
 // cost side — the plug window delaying flushes — staying within 7% of
 // plain Solros (1-connection 4KB is the worst row); the benefit side (doorbell amortization across
 // sockets) appears at connection scale in fig19_connection_storm.
+// Like fig19, it refuses to run (exit 2) while any SOLROS_NET_* variable is
+// set, since that would turn the plain Solros column into a batched one.
 #include <iostream>
 
 #include "bench/bench_util.h"
@@ -18,7 +20,7 @@
 using namespace solros;
 
 int main(int argc, char** argv) {
-  if (!InitBench(argc, argv)) {
+  if (!InitBench(argc, argv) || !NetEnvironmentUnset()) {
     return 2;
   }
   PrintHeader("E15 — TCP streaming throughput (reconstructed)",

@@ -22,6 +22,10 @@
 // CI gates (ci.yml): batch-on must beat batch-off on ops/s, ring at most
 // half the doorbells, hold p99 inside a budget, and keep fairness high.
 // SOLROS_BENCH_QUICK shrinks the storm to ~8k connections.
+//
+// The bench refuses to run (exit 2) while any SOLROS_NET_* variable is set:
+// Machine resolves those over each row's programmatic options, so e.g.
+// SOLROS_NET_BATCH=1 would silently batch the "batch off" row.
 #include <iostream>
 #include <vector>
 
@@ -174,7 +178,7 @@ StormResult RunStorm(bool batch, int conns) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (!InitBench(argc, argv)) {
+  if (!InitBench(argc, argv) || !NetEnvironmentUnset()) {
     return 2;
   }
   PrintHeader("E19 — connection storm at 100k-connection scale (extension)",

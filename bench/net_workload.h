@@ -4,6 +4,10 @@
 #ifndef SOLROS_BENCH_NET_WORKLOAD_H_
 #define SOLROS_BENCH_NET_WORKLOAD_H_
 
+#include <unistd.h>  // environ
+
+#include <cstring>
+#include <iostream>
 #include <memory>
 #include <string>
 #include <vector>
@@ -267,6 +271,25 @@ inline double MeasureNetThroughput(NetConfigKind kind, uint32_t size,
   uint64_t bytes =
       uint64_t{static_cast<uint64_t>(connections)} * messages * size;
   return RateBps(bytes, machine.sim().now() - t0);
+}
+
+// Benches that set net options per row or column in code call this first:
+// Machine resolves each SOLROS_NET_* variable over the programmatic options,
+// so e.g. SOLROS_NET_BATCH=1 would silently batch the unbatched rows. Names
+// every such variable that is set on stderr; true if there is none.
+inline bool NetEnvironmentUnset() {
+  bool unset = true;
+  for (char** entry = environ; *entry != nullptr; ++entry) {
+    if (std::strncmp(*entry, "SOLROS_NET_", 11) == 0) {
+      const char* eq = std::strchr(*entry, '=');
+      const size_t len = eq != nullptr ? eq - *entry : std::strlen(*entry);
+      std::cerr << "error: " << std::string(*entry, len)
+                << " is set; it would override the per-row net options "
+                   "this bench compares, so unset it\n";
+      unset = false;
+    }
+  }
+  return unset;
 }
 
 }  // namespace solros

@@ -14,7 +14,6 @@
 #include "src/base/units.h"
 #include "src/hw/fabric.h"
 #include "src/sim/resource.h"
-#include "src/sim/task.h"
 
 namespace solros {
 
@@ -39,9 +38,11 @@ class Processor {
     }
   }
 
-  // Runs `reference_ns` of host-speed CPU work on this processor.
-  Task<void> Compute(Nanos reference_ns) {
-    co_await threads_.Use(ScaledTime(reference_ns));
+  // Runs `reference_ns` of host-speed CPU work on this processor:
+  //   co_await cpu->Compute(work);
+  // The awaiter suspends the caller directly (no task frame of its own).
+  MultiServerResource::UseAwaiter Compute(Nanos reference_ns) {
+    return threads_.Use(ScaledTime(reference_ns));
   }
 
   // The wall time `reference_ns` of work takes on one of these cores.

@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <coroutine>
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -34,7 +35,7 @@ class FifoResource {
   FifoResource(const FifoResource&) = delete;
   FifoResource& operator=(const FifoResource&) = delete;
 
-  struct UseAwaiter {
+  struct [[nodiscard]] UseAwaiter {
     FifoResource* resource;
     Nanos duration;
     bool await_ready() const noexcept { return false; }
@@ -75,8 +76,12 @@ class FifoResource {
   UseSeries* use_ = nullptr;
 };
 
-// k identical FIFO servers (e.g. the 8 DMA channels of a Xeon or Xeon Phi).
-// Each use picks the earliest-available server.
+// k identical FIFO servers (e.g. the 8 DMA channels of a Xeon or Xeon Phi,
+// or the 244 hardware threads of a Xeon Phi). Each use picks the
+// earliest-available server. The servers' busy-until times are kept as a
+// min-heap: servers are interchangeable, so any server tied for the minimum
+// yields the same start and end and leaves the same multiset of busy
+// times, and a pick costs O(log k) instead of a k-way scan.
 class MultiServerResource {
  public:
   MultiServerResource(Simulator* sim, size_t servers, std::string name = "")
@@ -87,22 +92,19 @@ class MultiServerResource {
   MultiServerResource(const MultiServerResource&) = delete;
   MultiServerResource& operator=(const MultiServerResource&) = delete;
 
-  struct UseAwaiter {
+  struct [[nodiscard]] UseAwaiter {
     MultiServerResource* resource;
     Nanos duration;
     bool await_ready() const noexcept { return false; }
     template <typename Promise>
     void await_suspend(std::coroutine_handle<Promise> handle) {
       Simulator* sim = resource->sim_;
-      size_t best = 0;
-      for (size_t i = 1; i < resource->busy_until_.size(); ++i) {
-        if (resource->busy_until_[i] < resource->busy_until_[best]) {
-          best = i;
-        }
-      }
-      SimTime start = std::max(sim->now(), resource->busy_until_[best]);
+      std::vector<SimTime>& busy = resource->busy_until_;
+      std::pop_heap(busy.begin(), busy.end(), std::greater<>());
+      SimTime start = std::max(sim->now(), busy.back());
       SimTime end = start + duration;
-      resource->busy_until_[best] = end;
+      busy.back() = end;
+      std::push_heap(busy.begin(), busy.end(), std::greater<>());
       resource->busy_time_ += duration;
       ++resource->uses_;
       if (resource->use_ != nullptr) {
@@ -126,7 +128,7 @@ class MultiServerResource {
 
  private:
   Simulator* sim_;
-  std::vector<SimTime> busy_until_;
+  std::vector<SimTime> busy_until_;  // min-heap (std::greater)
   Nanos busy_time_ = 0;
   uint64_t uses_ = 0;
   std::string name_;

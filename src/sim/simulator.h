@@ -1,11 +1,15 @@
 // Discrete-event simulator core.
 //
 // The simulator is a single-threaded event loop over (time, sequence)-ordered
-// callbacks. All device and OS-service models in this repository run as
-// C++20 coroutines (src/sim/task.h) scheduled on this loop; simulated time
-// only advances between events, so every run is deterministic.
+// events. All device and OS-service models in this repository run as C++20
+// coroutines (src/sim/task.h) scheduled on this loop; simulated time only
+// advances between events, so every run is deterministic.
 //
-// Events at equal timestamps execute in FIFO posting order.
+// Events at equal timestamps execute in FIFO posting order, whatever their
+// kind. An event is a trivially copyable 24-byte record: its time, its
+// sequence number, and either the frame address of a coroutine to resume
+// (ResumeAt; every event the models post) or the index of a slot holding a
+// posted std::function (Post/PostAt; tests and probes).
 #ifndef SOLROS_SRC_SIM_SIMULATOR_H_
 #define SOLROS_SRC_SIM_SIMULATOR_H_
 
@@ -13,8 +17,10 @@
 #include <cstdint>
 #include <functional>
 #include <queue>
+#include <utility>
 #include <vector>
 
+#include "src/base/logging.h"
 #include "src/base/units.h"
 
 namespace solros {
@@ -52,17 +58,27 @@ class Simulator {
     PostAt(now_ + delay, std::move(fn));
   }
 
-  // Schedules `fn` at absolute time `when` (clamped to now).
+  // Schedules `fn` at absolute time `when` (clamped to now). The callback
+  // waits in a slot of a table whose freed slots are reused.
   void PostAt(SimTime when, std::function<void()> fn) {
-    if (when < now_) {
-      when = now_;
+    uint64_t slot;
+    if (free_slots_.empty()) {
+      slot = callbacks_.size();
+      callbacks_.push_back(std::move(fn));
+    } else {
+      slot = free_slots_.back();
+      free_slots_.pop_back();
+      callbacks_[slot] = std::move(fn);
     }
-    queue_.push(Event{when, seq_++, std::move(fn)});
+    Push(when, (slot << 1) | kCallbackTag);
   }
 
-  // Schedules resumption of a suspended coroutine at absolute time `when`.
+  // Schedules resumption of a suspended coroutine at absolute time `when`
+  // (clamped to now).
   void ResumeAt(SimTime when, std::coroutine_handle<> handle) {
-    PostAt(when, [handle] { handle.resume(); });
+    const auto frame = reinterpret_cast<uintptr_t>(handle.address());
+    DCHECK((frame & kCallbackTag) == 0);
+    Push(when, frame);
   }
 
   // Runs until the event queue drains or `max_events` have been processed.
@@ -93,10 +109,15 @@ class Simulator {
   size_t pending_events() const { return queue_.size(); }
 
  private:
+  // Tag bit of Event::target: set for a callback slot index (shifted left
+  // by one), clear for a coroutine frame address (frames are at least
+  // 16-byte aligned).
+  static constexpr uintptr_t kCallbackTag = 1;
+
   struct Event {
     SimTime when;
     uint64_t seq;
-    std::function<void()> fn;
+    uintptr_t target;
   };
   struct EventAfter {
     bool operator()(const Event& a, const Event& b) const {
@@ -107,13 +128,29 @@ class Simulator {
     }
   };
 
+  void Push(SimTime when, uintptr_t target) {
+    if (when < now_) {
+      when = now_;
+    }
+    queue_.push(Event{when, seq_++, target});
+  }
+
   void StepOne() {
-    // Move the event out before running: the callback may push new events
-    // and invalidate the queue top.
-    Event event = std::move(const_cast<Event&>(queue_.top()));
+    const Event event = queue_.top();
     queue_.pop();
     now_ = event.when;
-    event.fn();
+    if ((event.target & kCallbackTag) == 0) {
+      std::coroutine_handle<>::from_address(
+          reinterpret_cast<void*>(event.target))
+          .resume();
+      return;
+    }
+    // Take the callback out and free its slot before running it: the
+    // callback may post new events and reuse or grow the table.
+    const uint64_t slot = event.target >> 1;
+    std::function<void()> fn = std::exchange(callbacks_[slot], nullptr);
+    free_slots_.push_back(slot);
+    fn();
   }
 
   SimTime now_ = 0;
@@ -121,6 +158,8 @@ class Simulator {
   TelemetryHub* telemetry_ = nullptr;
   uint64_t seq_ = 0;
   std::priority_queue<Event, std::vector<Event>, EventAfter> queue_;
+  std::vector<std::function<void()>> callbacks_;
+  std::vector<uint64_t> free_slots_;
 };
 
 }  // namespace solros

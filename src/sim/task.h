@@ -17,20 +17,30 @@
 //  * A spawned (detached) Task destroys its own frame on completion.
 //  * The Simulator pointer propagates parent -> child at co_await time, so
 //    only root tasks need explicit binding (done by Spawn/RunSim).
+//  * Frames come from the per-thread slab pool in src/sim/frame_pool.h.
 #ifndef SOLROS_SRC_SIM_TASK_H_
 #define SOLROS_SRC_SIM_TASK_H_
 
 #include <coroutine>
+#include <cstddef>
 #include <optional>
 #include <utility>
 
 #include "src/base/logging.h"
+#include "src/sim/frame_pool.h"
 #include "src/sim/simulator.h"
 
 namespace solros {
 
 class TaskPromiseBase {
  public:
+  static void* operator new(size_t bytes) {
+    return FramePool::Allocate(bytes);
+  }
+  static void operator delete(void* frame, size_t bytes) {
+    FramePool::Free(frame, bytes);
+  }
+
   Simulator* sim() const { return sim_; }
   void set_sim(Simulator* sim) { sim_ = sim; }
   void set_continuation(std::coroutine_handle<> continuation) {
@@ -154,7 +164,7 @@ void Spawn(Simulator& sim, Task<T> task) {
   CHECK(handle) << "spawning an empty task";
   handle.promise().set_sim(&sim);
   handle.promise().set_detached();
-  sim.Post(0, [handle] { handle.resume(); });
+  sim.ResumeAt(sim.now(), handle);
 }
 
 // Suspends the current task for `delay` simulated nanoseconds.

@@ -162,6 +162,8 @@ TEST(WindowCopierTest, CopiesRealBytes) {
   EXPECT_EQ(std::memcmp(src.data(), dst.data(), 128), 0);
 }
 
+Task<void> Compute(Processor* cpu, Nanos work) { co_await cpu->Compute(work); }
+
 TEST(ProcessorTest, SpeedFactorScalesWork) {
   Simulator sim;
   HwParams params;
@@ -172,7 +174,7 @@ TEST(ProcessorTest, SpeedFactorScalesWork) {
   Processor phi_cpu(&sim, phi, 244, params.phi_core_speed, "phi-cpu");
   EXPECT_EQ(host_cpu.ScaledTime(Microseconds(1)), Microseconds(1));
   EXPECT_EQ(phi_cpu.ScaledTime(Microseconds(1)), Microseconds(8));
-  RunSim(sim, phi_cpu.Compute(Microseconds(10)));
+  RunSim(sim, Compute(&phi_cpu, Microseconds(10)));
   EXPECT_EQ(sim.now(), Microseconds(80));
 }
 

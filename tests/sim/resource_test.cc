@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
+#include "src/base/prng.h"
 #include "src/base/units.h"
 #include "src/sim/simulator.h"
 #include "src/sim/sync.h"
@@ -74,6 +76,68 @@ TEST(MultiServerResourceTest, ParallelismUpToServerCount) {
   }
   for (int i = 4; i < 8; ++i) {
     EXPECT_EQ(ends[i], Microseconds(20));
+  }
+}
+
+Task<void> UseAndRecord(MultiServerResource* res, Nanos d, SimTime* end) {
+  Simulator* sim = co_await CurrentSimulator();
+  co_await res->Use(d);
+  *end = sim->now();
+}
+
+// Starts user i at arrivals[i] (non-decreasing), in index order.
+Task<void> Arrivals(Simulator* sim, MultiServerResource* res,
+                    const std::vector<SimTime>* arrivals,
+                    const std::vector<Nanos>* durations,
+                    std::vector<SimTime>* ends) {
+  for (size_t i = 0; i < arrivals->size(); ++i) {
+    if ((*arrivals)[i] > sim->now()) {
+      co_await Delay((*arrivals)[i] - sim->now());
+    }
+    Spawn(*sim, UseAndRecord(res, (*durations)[i], &(*ends)[i]));
+  }
+}
+
+// The heap-ordered server pick must resume every user at exactly the time
+// a k-way linear scan for the earliest-free server gives, on a Xeon Phi's
+// 244 hardware threads under both light and overloaded bursts.
+TEST(MultiServerResourceTest, HeapPickMatchesLinearScanModel) {
+  constexpr size_t kServers = 244;
+  constexpr size_t kUsers = 6000;
+  for (uint64_t seed : {1, 2, 3, 4}) {
+    Prng prng(seed);
+    std::vector<SimTime> arrivals(kUsers);
+    std::vector<Nanos> durations(kUsers);
+    SimTime t = 0;
+    for (size_t i = 0; i < kUsers; ++i) {
+      // Bursts of same-time arrivals, and durations whose mean load swings
+      // between about half and twice the server count by seed.
+      t += prng.NextBool(0.3) ? 0 : prng.NextBelow(200);
+      arrivals[i] = t;
+      durations[i] = 1 + prng.NextBelow(seed * 20000);
+    }
+
+    std::vector<SimTime> model_busy(kServers, 0);
+    std::vector<SimTime> expected(kUsers);
+    for (size_t i = 0; i < kUsers; ++i) {
+      size_t best = 0;
+      for (size_t s = 1; s < kServers; ++s) {
+        if (model_busy[s] < model_busy[best]) {
+          best = s;
+        }
+      }
+      const SimTime start = std::max(arrivals[i], model_busy[best]);
+      model_busy[best] = start + durations[i];
+      expected[i] = model_busy[best];
+    }
+
+    Simulator sim;
+    MultiServerResource res(&sim, kServers);
+    std::vector<SimTime> ends(kUsers, 0);
+    Spawn(sim, Arrivals(&sim, &res, &arrivals, &durations, &ends));
+    sim.RunUntilIdle();
+    EXPECT_EQ(ends, expected) << "seed " << seed;
+    EXPECT_EQ(res.use_count(), kUsers);
   }
 }
 
