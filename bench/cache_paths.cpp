@@ -1,17 +1,15 @@
-// E-cache — staged-path cache overhaul, measured head-to-head: every
-// scenario runs the identical workload twice, once with the staged-path
-// features disabled ("legacy": single-LRU cache, no readahead, per-block
-// write-through) and once with the current defaults ("current":
-// scan-resistant segmented LRU + sequential readahead + coalesced
-// write-back). Three scenarios:
+// E-cache — the staged path's cache mechanisms (scan-resistant segmented
+// LRU, sequential readahead, coalesced write-back), one scenario each:
 //
 //   seq-read    O_BUFFER sequential 64 KiB reads through one data plane;
 //               readahead turns one NVMe command per request into one per
-//               window (the >=4x command-count drop the overhaul targets).
+//               window. The printed reduction is requests per command (an
+//               unbatched path issues one command per request);
+//               tools/bench_baseline.sh gates it at >=4x.
 //   scan-mix    warm a hot set, stream a scan 2x the cache size through
 //               the same cache, then re-read the hot set; the segmented
-//               LRU keeps the hot set in the protected segment so the
-//               re-read stays in cache (legacy LRU loses everything).
+//               LRU keeps the hot set in the protected segment, so the
+//               re-read must issue no NVMe command (exit 1 otherwise).
 //   rand-write  fig12-style random O_BUFFER writes + fsync; write-back
 //               absorbs the writes as dirty pages and flushes them as
 //               sorted, coalesced vectors.
@@ -25,19 +23,17 @@ using namespace solros;
 
 namespace {
 
-MachineConfig CacheMachine(bool legacy, int num_phis) {
+// Rows keep a "mode" column so the perf ledger's row keys stay stable.
+constexpr const char* kMode = "current";
+
+MachineConfig CacheMachine(int num_phis) {
   MachineConfig config;
   config.num_phis = num_phis;
   config.nvme_capacity = GiB(1);
   config.enable_network = false;
   config.fs_options.cache_blocks = 8192;  // 32 MiB shared cache
-  if (legacy) {
-    DisableStagedPathFeatures(config.fs_options);
-  }
   return config;
 }
-
-const char* ModeName(bool legacy) { return legacy ? "legacy" : "current"; }
 
 Task<Status> SeqRead(FsStub* stub, uint64_t ino, DeviceId device,
                      uint64_t file_bytes, uint64_t chunk) {
@@ -56,20 +52,21 @@ Task<Status> SeqRead(FsStub* stub, uint64_t ino, DeviceId device,
 
 struct SeqNumbers {
   double gbps = 0;
+  uint64_t requests = 0;
   uint64_t commands = 0;
   uint64_t doorbells = 0;
 };
 
-SeqNumbers MeasureSeqRead(bool legacy) {
+SeqNumbers MeasureSeqRead() {
   const uint64_t file_bytes = BenchQuickMode() ? MiB(16) : MiB(64);
   const uint64_t chunk = KiB(64);
-  Machine machine(CacheMachine(legacy, 1));
+  Machine machine(CacheMachine(1));
   CHECK_OK(RunSim(machine.sim(), machine.FormatFs()));
   auto ino = RunSim(machine.sim(),
                     PrepareWorkloadFile(&machine.fs(), "/seq", file_bytes));
   CHECK_OK(ino);
   FsStub& stub = machine.fs_stub(0);
-  stub.set_buffered(true);  // O_BUFFER: both modes exercise the staged path
+  stub.set_buffered(true);  // O_BUFFER: exercise the staged path
   uint64_t commands0 = machine.nvme().commands_completed();
   uint64_t doorbells0 = machine.nvme().doorbells_rung();
   SimTime t0 = machine.sim().now();
@@ -77,6 +74,7 @@ SeqNumbers MeasureSeqRead(bool legacy) {
                                          file_bytes, chunk)));
   SeqNumbers out;
   out.gbps = RateBps(file_bytes, machine.sim().now() - t0) / 1e9;
+  out.requests = file_bytes / chunk;
   out.commands = machine.nvme().commands_completed() - commands0;
   out.doorbells = machine.nvme().doorbells_rung() - doorbells0;
   return out;
@@ -104,11 +102,11 @@ struct MixNumbers {
   uint64_t commands = 0;  // NVMe commands during the re-read (0 = all hits)
 };
 
-MixNumbers MeasureScanMix(bool legacy) {
+MixNumbers MeasureScanMix() {
   const uint64_t hot_bytes = BenchQuickMode() ? MiB(8) : MiB(16);
   const uint64_t scan_bytes = BenchQuickMode() ? MiB(64) : MiB(256);
   const int hot_ops = BenchQuickMode() ? 256 : 1024;
-  Machine machine(CacheMachine(legacy, 2));
+  Machine machine(CacheMachine(2));
   CHECK_OK(RunSim(machine.sim(), machine.FormatFs()));
   auto hot_ino = RunSim(machine.sim(),
                         PrepareWorkloadFile(&machine.fs(), "/hot", hot_bytes));
@@ -127,9 +125,9 @@ MixNumbers MeasureScanMix(bool legacy) {
                     SeqRead(&hot_stub, *hot_ino, machine.phi_device(0),
                             hot_bytes, KiB(64))));
   }
-  // Stream a scan twice the cache size through the same cache. A plain LRU
-  // lets it evict the entire hot set; the segmented LRU confines it to the
-  // probation segment.
+  // Stream a scan twice the cache size through the same cache. The
+  // segmented LRU confines it to the probation segment (a plain LRU would
+  // let it evict the entire hot set).
   CHECK_OK(RunSim(machine.sim(),
                   SeqRead(&scan_stub, *scan_ino, machine.phi_device(1),
                           scan_bytes, KiB(64))));
@@ -153,9 +151,9 @@ struct WriteNumbers {
   uint64_t commands = 0;
 };
 
-WriteNumbers MeasureRandomWrite(bool legacy) {
+WriteNumbers MeasureRandomWrite() {
   const uint64_t file_bytes = BenchQuickMode() ? MiB(32) : MiB(64);
-  Machine machine(CacheMachine(legacy, 1));
+  Machine machine(CacheMachine(1));
   CHECK_OK(RunSim(machine.sim(), machine.FormatFs()));
   auto ino = RunSim(machine.sim(),
                     PrepareWorkloadFile(&machine.fs(), "/rw", file_bytes));
@@ -165,8 +163,8 @@ WriteNumbers MeasureRandomWrite(bool legacy) {
   FsWorkloadConfig config;
   config.file_bytes = file_bytes;
   config.block_size = KiB(64);
-  // One writer: each legacy write waits out the full device round trip,
-  // which is exactly the latency that write-back absorption removes.
+  // One writer: a write-through write would wait out the full device round
+  // trip, which is exactly the latency that write-back absorption removes.
   config.threads = 1;
   config.ops_per_thread = BenchQuickMode() ? 128 : 512;
   config.is_write = true;
@@ -182,13 +180,6 @@ WriteNumbers MeasureRandomWrite(bool legacy) {
   return out;
 }
 
-std::string Ratio(double current, double legacy) {
-  if (legacy == 0) {
-    return "-";
-  }
-  return TablePrinter::Num(current / legacy, 2) + "x";
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -201,46 +192,40 @@ int main(int argc, char** argv) {
               "write-back classics");
 
   std::cout << "--- sequential O_BUFFER reads (64 KiB) ---\n";
-  SeqNumbers seq_legacy = MeasureSeqRead(/*legacy=*/true);
-  SeqNumbers seq_current = MeasureSeqRead(/*legacy=*/false);
+  SeqNumbers seq_read = MeasureSeqRead();
   TablePrinter seq({"mode", "GB/s", "nvme cmds", "doorbells"});
-  seq.AddRow({ModeName(true), TablePrinter::Num(seq_legacy.gbps, 3),
-              std::to_string(seq_legacy.commands),
-              std::to_string(seq_legacy.doorbells)});
-  seq.AddRow({ModeName(false), TablePrinter::Num(seq_current.gbps, 3),
-              std::to_string(seq_current.commands),
-              std::to_string(seq_current.doorbells)});
+  seq.AddRow({kMode, TablePrinter::Num(seq_read.gbps, 3),
+              std::to_string(seq_read.commands),
+              std::to_string(seq_read.doorbells)});
   EmitTable(seq);
   std::cout << "seq-read command reduction: "
-            << Ratio(static_cast<double>(seq_legacy.commands),
-                     static_cast<double>(seq_current.commands))
-            << " fewer NVMe commands; speedup "
-            << Ratio(seq_current.gbps, seq_legacy.gbps) << "\n";
+            << TablePrinter::Num(static_cast<double>(seq_read.requests) /
+                                     static_cast<double>(seq_read.commands),
+                                 2)
+            << "x (" << seq_read.requests << " requests over "
+            << seq_read.commands << " NVMe commands)\n";
 
   std::cout << "\n--- hot-set re-read after a 2x-cache streaming scan ---\n";
-  MixNumbers mix_legacy = MeasureScanMix(/*legacy=*/true);
-  MixNumbers mix_current = MeasureScanMix(/*legacy=*/false);
+  MixNumbers scan_mix = MeasureScanMix();
   TablePrinter mix({"mode", "hot GB/s", "nvme cmds"});
-  mix.AddRow({ModeName(true), TablePrinter::Num(mix_legacy.hot_gbps, 3),
-              std::to_string(mix_legacy.commands)});
-  mix.AddRow({ModeName(false), TablePrinter::Num(mix_current.hot_gbps, 3),
-              std::to_string(mix_current.commands)});
+  mix.AddRow({kMode, TablePrinter::Num(scan_mix.hot_gbps, 3),
+              std::to_string(scan_mix.commands)});
   EmitTable(mix);
-  std::cout << "scan-mix hot-reader speedup: "
-            << Ratio(mix_current.hot_gbps, mix_legacy.hot_gbps) << "\n";
+  std::cout << "scan-mix hot re-read: " << scan_mix.commands
+            << " NVMe commands (must be 0: the scan stays in probation)\n";
 
   std::cout << "\n--- random O_BUFFER writes (64 KiB) + fsync ---\n";
-  WriteNumbers wr_legacy = MeasureRandomWrite(/*legacy=*/true);
-  WriteNumbers wr_current = MeasureRandomWrite(/*legacy=*/false);
+  WriteNumbers rand_write = MeasureRandomWrite();
   TablePrinter wr({"mode", "GB/s", "nvme cmds"});
-  wr.AddRow({ModeName(true), TablePrinter::Num(wr_legacy.gbps, 3),
-             std::to_string(wr_legacy.commands)});
-  wr.AddRow({ModeName(false), TablePrinter::Num(wr_current.gbps, 3),
-             std::to_string(wr_current.commands)});
+  wr.AddRow({kMode, TablePrinter::Num(rand_write.gbps, 3),
+             std::to_string(rand_write.commands)});
   EmitTable(wr);
-  std::cout << "rand-write speedup: " << Ratio(wr_current.gbps, wr_legacy.gbps)
-            << "\n";
 
   FinishBench();
+  if (scan_mix.commands != 0) {
+    std::cerr << "error: scan-mix hot re-read issued " << scan_mix.commands
+              << " NVMe commands; the scan evicted the protected hot set\n";
+    return 1;
+  }
   return 0;
 }

@@ -16,10 +16,8 @@ int main(int argc, char** argv) {
   }
   PrintHeader("Fig. 11 — random READ throughput (SSD ceiling 2.4 GB/s)",
               "EuroSys'18 Solros, Figure 11; file scaled 4GB -> 512MB");
-  RunFsFigure(/*is_write=*/false);
-  std::cout << "\nshape: Host and Phi-Solros saturate the SSD at large "
-               "blocks; virtio/NFS stay ~0.1-0.2 GB/s regardless of "
-               "threads (19x gap at 4MB).\n";
+  const bool shape_ok =
+      CheckFsFigureShape(RunFsFigure(/*is_write=*/false), /*ceiling=*/2.4);
   FinishBench();
-  return 0;
+  return shape_ok ? 0 : 1;
 }

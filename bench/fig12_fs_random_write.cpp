@@ -15,9 +15,8 @@ int main(int argc, char** argv) {
   }
   PrintHeader("Fig. 12 — random WRITE throughput (SSD ceiling 1.2 GB/s)",
               "EuroSys'18 Solros, Figure 12; file scaled 4GB -> 512MB");
-  RunFsFigure(/*is_write=*/true);
-  std::cout << "\nshape: Host and Phi-Solros reach the SSD write ceiling; "
-               "virtio/NFS stay under ~0.1 GB/s.\n";
+  const bool shape_ok =
+      CheckFsFigureShape(RunFsFigure(/*is_write=*/true), /*ceiling=*/1.2);
   FinishBench();
-  return 0;
+  return shape_ok ? 0 : 1;
 }

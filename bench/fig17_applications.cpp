@@ -18,9 +18,6 @@ MachineConfig AppMachine() {
   config.num_phis = 1;
   config.nvme_capacity = GiB(1);
   config.enable_network = false;
-  if (BenchLegacyMode()) {
-    DisableStagedPathFeatures(config.fs_options);
-  }
   return config;
 }
 

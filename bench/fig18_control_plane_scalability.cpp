@@ -62,9 +62,6 @@ MachineConfig StormConfig(int phis) {
   config.num_phis = phis;
   config.nvme_capacity = MiB(256);
   config.enable_network = false;
-  if (BenchLegacyMode()) {
-    DisableStagedPathFeatures(config.fs_options);
-  }
   return config;
 }
 
@@ -158,7 +155,7 @@ RunStats RunSharedStorm(bool iosched) {
   constexpr int kWorkers = 8;
   constexpr int kOps = 40;
   MachineConfig config = StormConfig(kPhis);
-  config.fs_options.iosched = iosched && !BenchLegacyMode();
+  config.fs_options.iosched = iosched;
   MaybeEnableTelemetry(config);
   Machine machine(std::move(config));
   CHECK_OK(RunSim(machine.sim(), machine.FormatFs()));
@@ -248,7 +245,6 @@ RunStats RunSkewedStorm(bool fairness) {
   constexpr int kFloodWorkers = 48;
   constexpr int kVictimWorkers = 2;
   MachineConfig config = StormConfig(kPhis);
-  config.fs_options.iosched = !BenchLegacyMode();
   config.fs_options.iosched_fairness = fairness;
   // Make scheduler rounds scarce so queueing order is visible: no
   // readahead (every miss is a 1-block demand request) and small batches

@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <iostream>
+#include <vector>
 
 #include "bench/bench_util.h"
 #include "bench/fs_workload.h"
@@ -22,9 +23,6 @@ MachineConfig BenchMachine() {
   config.enable_network = false;
   // Cold-cache runs: a modest cache that cannot hold the working set.
   config.fs_options.cache_blocks = 8192;  // 32 MiB
-  if (BenchLegacyMode()) {
-    DisableStagedPathFeatures(config.fs_options);
-  }
   // SOLROS_JOURNAL=metadata|data: measure the crash-consistency ablation.
   std::string journal = BenchJournalMode();
   if (journal == "metadata") {
@@ -144,7 +142,20 @@ double MeasureNfs(uint64_t block, int threads, bool is_write) {
       .bandwidth();
 }
 
-void RunFsFigure(bool is_write) {
+// One measured point of Figs. 11/12, in bytes per second.
+struct FsFigureRow {
+  int threads = 0;
+  uint64_t block = 0;
+  double host = 0;
+  double solros = 0;
+  double buffered = 0;
+  double virtio = 0;
+  double nfs = 0;
+};
+
+// Prints the figure's tables and returns every measured point in sweep
+// order (threads ascending, then block size ascending).
+std::vector<FsFigureRow> RunFsFigure(bool is_write) {
   // Quick mode (SOLROS_BENCH_QUICK): CI smoke matrix — enough points for
   // regression tracking without the full figure sweep.
   const std::vector<int> thread_list =
@@ -155,23 +166,55 @@ void RunFsFigure(bool is_write) {
           ? std::vector<uint64_t>{KiB(32), KiB(256), MiB(1)}
           : std::vector<uint64_t>{KiB(32), KiB(64), KiB(128), KiB(256),
                                   KiB(512), MiB(1), MiB(2), MiB(4)};
+  std::vector<FsFigureRow> rows;
   for (int threads : thread_list) {
     std::cout << "\n--- " << threads << " thread(s) ---\n";
     TablePrinter table({"block", "Host GB/s", "Phi-Solros GB/s",
                         "Phi-Solros O_BUFFER GB/s", "Phi-virtio GB/s",
                         "Phi-NFS GB/s"});
     for (uint64_t block : block_list) {
-      table.AddRow({HumanSize(block),
-                    GBps3(MeasureHost(block, threads, is_write)),
-                    GBps3(MeasureSolros(block, threads, is_write)),
-                    GBps3(MeasureSolrosBuffered(block, threads, is_write)),
-                    GBps3(MeasureVirtio(block, threads, is_write)),
-                    GBps3(MeasureNfs(block, threads, is_write))});
+      FsFigureRow row;
+      row.threads = threads;
+      row.block = block;
+      row.host = MeasureHost(block, threads, is_write);
+      row.solros = MeasureSolros(block, threads, is_write);
+      row.buffered = MeasureSolrosBuffered(block, threads, is_write);
+      row.virtio = MeasureVirtio(block, threads, is_write);
+      row.nfs = MeasureNfs(block, threads, is_write);
+      table.AddRow({HumanSize(block), GBps3(row.host), GBps3(row.solros),
+                    GBps3(row.buffered), GBps3(row.virtio), GBps3(row.nfs)});
+      rows.push_back(row);
     }
     EmitTable(table);
   }
+  return rows;
 }
 
+// The figures' shape claim, computed at the largest block and highest
+// thread count: Host and Phi-Solros reach >=90% of the SSD ceiling, and the
+// stock paths' gap is printed as measured. Returns false (the bench then
+// exits non-zero) when the ceiling check fails. SOLROS_JOURNAL=data writes
+// every direct-path block twice, so the ceiling claim is not checked there.
+bool CheckFsFigureShape(const std::vector<FsFigureRow>& rows,
+                        double ceiling_gbps) {
+  CHECK(!rows.empty());
+  const FsFigureRow& top = rows.back();
+  const double floor_bps = 0.9 * ceiling_gbps * 1e9;
+  const bool reached = top.host >= floor_bps && top.solros >= floor_bps;
+  const bool gated = BenchJournalMode() != "data";
+  std::cout << "\nshape: at " << HumanSize(top.block) << " x " << top.threads
+            << " threads, Host " << GBps3(top.host) << " and Phi-Solros "
+            << GBps3(top.solros) << " GB/s "
+            << (reached ? "reach" : "do NOT reach") << " 90% of the "
+            << TablePrinter::Num(ceiling_gbps, 1) << " GB/s SSD ceiling"
+            << (gated ? "" : " (not gated under SOLROS_JOURNAL=data)")
+            << "; Phi-Solros is "
+            << TablePrinter::Num(top.solros / top.virtio, 1) << "x virtio ("
+            << GBps3(top.virtio) << " GB/s) and "
+            << TablePrinter::Num(top.solros / top.nfs, 1) << "x NFS ("
+            << GBps3(top.nfs) << " GB/s).\n";
+  return reached || !gated;
+}
 
 }  // namespace solros
 

@@ -79,7 +79,6 @@ Machine::Machine(MachineConfig config) : config_(std::move(config)) {
   // write-through and every seed configuration is byte-identical.
   store_->set_volatile_write_cache(config_.journal_mode != JournalMode::kOff);
   fs_ = std::make_unique<SolrosFs>(store_.get(), &sim_);
-  fs_->set_vectored_io(config_.fs_options.fs_vectored_io);
   fs_->set_journal_mode(config_.journal_mode);
 
   // The only cross-shard FS state: the versioned extent map (invalidated by
@@ -311,10 +310,8 @@ void Machine::DumpStats(std::ostream& os) {
        << cache->hits() << " hits, " << cache->misses() << " misses, "
        << cache->evictions() << " evictions, " << cache->size() << "/"
        << cache->capacity() << " pages";
-    if (cache->options().scan_resistant) {
-      os << " (probation/protected " << cache->probation_pages() << "/"
-         << cache->protected_pages() << ")";
-    }
+    os << " (probation/protected " << cache->probation_pages() << "/"
+       << cache->protected_pages() << ")";
     if (cache->readahead_hits() > 0 || cache->dirty_pages() > 0) {
       os << "; readahead hits " << cache->readahead_hits() << ", dirty "
          << cache->dirty_pages();

@@ -71,9 +71,7 @@ FsProxy::FsProxy(Simulator* sim, PcieFabric* fabric, const HwParams& params,
                              : "";
   if (options_.cache_blocks > 0) {
     BufferCacheOptions cache_options;
-    cache_options.scan_resistant = options_.cache_scan_resistant;
     cache_options.protected_fraction = options_.cache_protected_fraction;
-    cache_options.coalesced_writeback = options_.coalesced_writeback;
     cache_options.writeback_max_batch = options_.writeback_max_batch;
     cache_options.coalesce_nvme = options_.coalesce_nvme;
     // The arena lives on the shard core's socket, so a hit never crosses
@@ -84,11 +82,8 @@ FsProxy::FsProxy(Simulator* sim, PcieFabric* fabric, const HwParams& params,
   }
   if (options_.iosched) {
     IoSchedulerOptions sched_options;
-    sched_options.single_flight = options_.iosched_single_flight;
-    sched_options.plug = options_.iosched_plug;
     sched_options.plug_window = options_.iosched_plug_window;
     sched_options.plug_max_batch = options_.iosched_plug_max_batch;
-    sched_options.priority = options_.iosched_priority;
     sched_options.fairness = options_.iosched_fairness;
     sched_options.drr_quantum_blocks = options_.iosched_drr_quantum;
     sched_options.max_inflight_batches = options_.iosched_max_inflight;
@@ -874,8 +869,8 @@ Task<Status> FsProxy::BufferedWrite(uint64_t ino, uint64_t offset,
   // no device I/O at all — eviction and Flush() push them out later as
   // coalesced vectors. PrepareWrite allocates blocks and updates metadata
   // exactly as the P2P write path does.
-  if (cache_ != nullptr && options_.writeback_cache &&
-      offset % kFsBlockSize == 0 && length % kFsBlockSize == 0) {
+  if (cache_ != nullptr && offset % kFsBlockSize == 0 &&
+      length % kFsBlockSize == 0) {
     auto extents = co_await fs_->PrepareWrite(ino, offset, length);
     if (extents.ok()) {
       static Counter* const absorbed =

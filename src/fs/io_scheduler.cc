@@ -74,26 +74,6 @@ Task<Status> IoScheduler::Read(uint64_t lba, uint32_t nblocks,
   co_return co_await Submit(&req);
 }
 
-Task<Status> IoScheduler::Write(uint64_t lba, uint32_t nblocks,
-                                std::span<const uint8_t> in, IoClass cls,
-                                uint32_t client, TraceContext ctx) {
-  if (nblocks == 0) {
-    co_return OkStatus();
-  }
-  const uint64_t bytes = uint64_t{nblocks} * block_size_;
-  if (in.size() < bytes) {
-    co_return InvalidArgumentError("iosched write span too short");
-  }
-  IoRequest req;
-  req.is_write = true;
-  req.cls = cls;
-  req.client = client;
-  req.ctx = ctx;
-  req.blocks = nblocks;
-  req.wruns.push_back(ConstBlockRun{lba, nblocks, in.first(bytes)});
-  co_return co_await Submit(&req);
-}
-
 Task<Status> IoScheduler::WriteV(std::span<const ConstBlockRun> runs,
                                  IoClass cls, uint32_t client,
                                  TraceContext ctx) {
@@ -156,7 +136,7 @@ void IoScheduler::FinishRequest(IoRequest* req, const Status& status) {
 Task<Status> IoScheduler::Submit(IoRequest* req) {
   req->enqueued = sim_->now();
   req->seq = ++arrivals_;
-  if (!req->is_write && options_.single_flight) {
+  if (!req->is_write) {
     if (InflightReads* cover = FindInflightCover(req->lba, req->nblocks);
         cover != nullptr) {
       // Single-flight attach: the bytes are already on their way; wait for
@@ -171,9 +151,8 @@ Task<Status> IoScheduler::Submit(IoRequest* req) {
       co_return req->status;
     }
   }
-  const int class_idx = options_.priority ? static_cast<int>(req->cls) : 0;
   const uint32_t key = options_.fairness ? req->client : 0;
-  ClassQueue& cq = classes_[class_idx];
+  ClassQueue& cq = classes_[static_cast<int>(req->cls)];
   auto [it, inserted] = cq.clients.try_emplace(key);
   if (inserted) {
     cq.rr.push_back(key);
@@ -210,7 +189,7 @@ Task<void> IoScheduler::DispatchLoop() {
       co_await work_cond_.Wait();
       idle_arrival = true;
     }
-    if (options_.plug && idle_arrival && options_.plug_window > 0) {
+    if (idle_arrival && options_.plug_window > 0) {
       co_await PlugWait();
     }
     // Back-pressure: past max_inflight_batches the backlog stays queued
@@ -327,11 +306,9 @@ Task<void> IoScheduler::SubmitReads(std::vector<IoRequest*> reads) {
     if (!batch.runs.empty()) {
       MergedRun& m = batch.runs.back();
       const uint64_t mend = m.lba + m.nblocks;
-      // Adjacent runs always merge into one command (plug batching);
-      // union of *overlapping* ranges is the single-flight mechanism —
-      // with it off, duplicated ranges are fetched independently,
-      // seed-style.
-      if (lo == mend || (lo < mend && options_.single_flight)) {
+      // Adjacent runs merge into one command (plug batching); overlapping
+      // ranges union-merge so each block is fetched once (single flight).
+      if (lo <= mend) {
         if (hi <= mend) {
           dedup_hits_->Increment();
           ++local_dedup_hits_;
@@ -549,8 +526,7 @@ std::vector<IoScheduler::IoRequest*> IoScheduler::SelectBatch() {
       }
     }
     if (!out.empty()) {
-      // Strict class priority: one class per round. (With priority off
-      // every request is in class 0, so this is simply "the round".)
+      // Strict class priority: one class per round.
       break;
     }
   }

@@ -7,7 +7,10 @@
 // flash twice, and background readahead/write-back competed head-to-head
 // with demand misses for queue slots. This scheduler sits between the
 // buffer cache / FS proxy and NvmeBlockStore and closes that gap with four
-// independently ablatable mechanisms:
+// mechanisms. The first three are always on (a zero plug_window only skips
+// the idle-arrival wait); per-client fairness stays switchable
+// (`fairness = false` keeps one arrival-order queue per class) because
+// fig18 measures its off-state:
 //
 //   single-flight reads   a read whose LBA range is covered by a merged
 //                         run already in flight attaches to it as a waiter
@@ -76,14 +79,12 @@ inline constexpr int kIoClassCount = 4;
 inline constexpr uint32_t kIoSchedHostClient = ~0u;
 
 struct IoSchedulerOptions {
-  bool single_flight = true;
-  bool plug = true;
   // How long an idle-arrival holds the queue open for batching. Small
-  // against flash latency (~80us) so the added latency is noise.
+  // against flash latency (~80us) so the added latency is noise; zero
+  // dispatches every arrival at once.
   Nanos plug_window = Microseconds(4);
   // Unplug early at this many queued requests; also the per-round cap.
   uint32_t plug_max_batch = 32;
-  bool priority = true;
   bool fairness = true;
   // DRR quantum per client visit, in fs blocks.
   uint32_t drr_quantum_blocks = 64;
@@ -114,11 +115,6 @@ class IoScheduler {
                     IoClass cls = IoClass::kDemand,
                     uint32_t client = kIoSchedHostClient,
                     TraceContext ctx = {});
-  Task<Status> Write(uint64_t lba, uint32_t nblocks,
-                     std::span<const uint8_t> in,
-                     IoClass cls = IoClass::kWriteback,
-                     uint32_t client = kIoSchedHostClient,
-                     TraceContext ctx = {});
   Task<Status> WriteV(std::span<const ConstBlockRun> runs,
                       IoClass cls = IoClass::kWriteback,
                       uint32_t client = kIoSchedHostClient,

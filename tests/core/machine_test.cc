@@ -123,21 +123,19 @@ TEST(MachineFsTest, CrossNumaPhiIsRoutedBuffered) {
 }
 
 TEST(MachineFsTest, CacheHitMakesSecondReadFasterAndBuffered) {
-  MachineConfig config = SmallConfig();
-  // Write-through so the write leaves no resident pages: the first read
-  // must fault from disk and only the second be served from the cache
-  // (with write-back absorption the first read is already hot).
-  config.fs_options.writeback_cache = false;
-  Machine machine(std::move(config));
+  Machine machine(SmallConfig());
   CHECK_OK(RunSim(machine.sim(), machine.FormatFs()));
   FsStub& stub = machine.fs_stub(0);
-  stub.set_buffered(true);
   auto ino = RunSim(machine.sim(), stub.Create("/hot.bin"));
   ASSERT_TRUE(ino.ok());
   auto data = RandomBytes(MiB(1), 5);
   DeviceBuffer src(machine.phi_device(0), data.size());
   std::memcpy(src.data(), data.data(), data.size());
+  // P2P write: it invalidates and never populates, so the first buffered
+  // read must fault from disk and only the second be served from the cache
+  // (an O_BUFFER write would leave the pages resident as dirty write-back).
   ASSERT_TRUE(RunSim(machine.sim(), stub.Write(*ino, 0, MemRef::Of(src))).ok());
+  stub.set_buffered(true);
 
   DeviceBuffer dst(machine.phi_device(0), data.size());
   SimTime t0 = machine.sim().now();

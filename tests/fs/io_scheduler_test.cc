@@ -65,7 +65,8 @@ Task<void> TaggedWrite(IoScheduler* sched, uint64_t lba, uint32_t nblocks,
                        std::span<const uint8_t> in, IoClass cls,
                        std::string tag, std::vector<std::string>* order,
                        std::vector<Status>* statuses, WaitGroup* wg) {
-  Status status = co_await sched->Write(lba, nblocks, in, cls);
+  const ConstBlockRun run{lba, nblocks, in};
+  Status status = co_await sched->WriteV({&run, 1}, cls);
   order->push_back(std::move(tag));
   statuses->push_back(status);
   wg->Done();
@@ -120,32 +121,6 @@ TEST(IoSchedulerTest, ConcurrentOverlappingReadsAreSingleFlight) {
   EXPECT_EQ(sched.dedup_hits(), static_cast<uint64_t>(kCallers - 1));
 }
 
-TEST(IoSchedulerTest, SingleFlightOffFetchesDuplicatesIndependently) {
-  Rig rig;
-  IoSchedulerOptions options;
-  options.single_flight = false;
-  IoScheduler sched(&rig.sim, &rig.store, options);
-  constexpr int kCallers = 4;
-  std::vector<std::vector<uint8_t>> bufs(kCallers,
-                                         std::vector<uint8_t>(kBs));
-  std::vector<std::string> order;
-  std::vector<Status> statuses;
-  WaitGroup wg(&rig.sim);
-  for (int i = 0; i < kCallers; ++i) {
-    wg.Add(1);
-    Spawn(rig.sim, TaggedRead(&sched, 42, 1, bufs[i], IoClass::kDemand,
-                              kIoSchedHostClient, "r" + std::to_string(i),
-                              &order, &statuses, &wg));
-  }
-  rig.sim.RunUntilIdle();
-  for (const Status& s : statuses) {
-    EXPECT_TRUE(s.ok());
-  }
-  // Seed behavior: every duplicate pays its own flash read.
-  EXPECT_EQ(rig.nvme.commands_completed(), static_cast<uint64_t>(kCallers));
-  EXPECT_EQ(sched.dedup_hits(), 0u);
-}
-
 TEST(IoSchedulerTest, LateArrivalAttachesToInflightFetch) {
   Rig rig;
   IoScheduler sched(&rig.sim, &rig.store);
@@ -197,7 +172,9 @@ TEST(IoSchedulerTest, PlugWindowBatchesStaggeredArrivals) {
   auto doorbells_with_plug = [](bool plug) {
     Rig rig;
     IoSchedulerOptions options;
-    options.plug = plug;
+    if (!plug) {
+      options.plug_window = 0;
+    }
     IoScheduler sched(&rig.sim, &rig.store, options);
     std::vector<uint8_t> a(kBs), b(kBs);
     WaitGroup wg(&rig.sim);
@@ -299,30 +276,6 @@ TEST(IoSchedulerTest, PriorityDispatchesDemandBeforeBackground) {
   EXPECT_EQ(sched.dispatched(IoClass::kReadahead), 1u);
   // Three strict class rounds, not one mixed batch.
   EXPECT_EQ(sched.batches(), 3u);
-}
-
-TEST(IoSchedulerTest, PriorityOffDispatchesOneArrivalOrderBatch) {
-  Rig rig;
-  IoSchedulerOptions options;
-  options.priority = false;
-  IoScheduler sched(&rig.sim, &rig.store, options);
-  std::vector<uint8_t> ra(kBs), wb(kBs, 0x33), demand(kBs);
-  std::vector<std::string> order;
-  std::vector<Status> statuses;
-  WaitGroup wg(&rig.sim);
-  wg.Add(3);
-  Spawn(rig.sim, TaggedRead(&sched, 300, 1, ra, IoClass::kReadahead,
-                            kIoSchedHostClient, "readahead", &order,
-                            &statuses, &wg));
-  Spawn(rig.sim, TaggedWrite(&sched, 200, 1, wb, IoClass::kWriteback,
-                             "writeback", &order, &statuses, &wg));
-  Spawn(rig.sim, TaggedRead(&sched, 100, 1, demand, IoClass::kDemand,
-                            kIoSchedHostClient, "demand", &order, &statuses,
-                            &wg));
-  rig.sim.RunUntilIdle();
-  ASSERT_EQ(order.size(), 3u);
-  // One class-less round carries everything.
-  EXPECT_EQ(sched.batches(), 1u);
 }
 
 TEST(IoSchedulerTest, DrrFairnessInterleavesAStormingClient) {

@@ -6,14 +6,12 @@
 #                                               # buffered-throughput regression
 #
 # Runs the short (SOLROS_BENCH_QUICK) fig11/fig12/fig17 configs, the
-# fig19 connection storm (legacy and batched net path) and the cache_paths
-# staged-path bench with --csv, and emits a machine-readable
+# fig19 connection storm (net path with batching off and on) and the
+# cache_paths staged-path bench with --csv, and emits a machine-readable
 # BENCH_baseline.json (one row object per line so `check` can parse it with
-# awk — no JSON tooling required). `record` captures every figure twice:
-# "legacy" = staged-path features disabled (seed-equivalent behavior) and
-# "current" = defaults, so the file documents both the seed numbers and the
-# trajectory CI protects. fig19 carries its two configurations as rows
-# (batch-off / batch-on) and runs once.
+# awk — no JSON tooling required). Every bench runs once with the default
+# configuration; fig/cache rows carry "variant": "current". fig19 carries
+# its two configurations as rows (batch-off / batch-on).
 set -euo pipefail
 
 BUILD_DIR="${BUILD_DIR:-build}"
@@ -28,13 +26,8 @@ if [[ ! -x "$BUILD_DIR/bench/fig11_fs_random_read" ]]; then
   exit 2
 fi
 
-run_bench() { # <binary> <legacy:0|1>
-  local bin="$1" legacy="$2"
-  if [[ "$legacy" == 1 ]]; then
-    SOLROS_BENCH_QUICK=1 SOLROS_BENCH_LEGACY=1 "$BUILD_DIR/bench/$bin" --csv
-  else
-    SOLROS_BENCH_QUICK=1 "$BUILD_DIR/bench/$bin" --csv
-  fi
+run_bench() { # <binary>
+  SOLROS_BENCH_QUICK=1 "$BUILD_DIR/bench/$1" --csv
 }
 
 # fig11/fig12 output -> "fig,variant,threads,block,host,solros,buffered,virtio,nfs"
@@ -113,26 +106,23 @@ record() {
   tmp="$(mktemp -d)"
   trap "rm -rf '$tmp'" EXIT
 
-  echo ">> fig11 (current + legacy)" >&2
-  run_bench fig11_fs_random_read 0 | parse_fs_fig fig11 current >"$tmp/rows"
-  run_bench fig11_fs_random_read 1 | parse_fs_fig fig11 legacy >>"$tmp/rows"
-  echo ">> fig12 (current + legacy)" >&2
-  run_bench fig12_fs_random_write 0 | parse_fs_fig fig12 current >>"$tmp/rows"
-  run_bench fig12_fs_random_write 1 | parse_fs_fig fig12 legacy >>"$tmp/rows"
-  echo ">> fig17 (current + legacy)" >&2
-  run_bench fig17_applications 0 | parse_fig17 current >>"$tmp/rows"
-  run_bench fig17_applications 1 | parse_fig17 legacy >>"$tmp/rows"
+  echo ">> fig11" >&2
+  run_bench fig11_fs_random_read | parse_fs_fig fig11 current >"$tmp/rows"
+  echo ">> fig12" >&2
+  run_bench fig12_fs_random_write | parse_fs_fig fig12 current >>"$tmp/rows"
+  echo ">> fig17" >&2
+  run_bench fig17_applications | parse_fig17 current >>"$tmp/rows"
   echo ">> fig19 (batch-off + batch-on)" >&2
-  run_bench fig19_connection_storm 0 | parse_fig19 >>"$tmp/rows"
+  run_bench fig19_connection_storm | parse_fig19 >>"$tmp/rows"
   echo ">> cache_paths" >&2
-  run_bench cache_paths 0 | parse_cache_paths >"$tmp/cache"
+  run_bench cache_paths | parse_cache_paths >"$tmp/cache"
   grep -v '^ratio,' "$tmp/cache" >>"$tmp/rows"
 
   ratio="$(awk -F, '$1 == "ratio" && $2 == "seq_read_cmd_reduction" {print $3}' \
            "$tmp/cache")"
   ratio="${ratio:-0}"
-  # Acceptance gate: readahead + coalescing must cut sequential-read NVMe
-  # commands by at least 4x versus the seed path.
+  # Acceptance gate: readahead + coalescing must serve at least 4 sequential
+  # 64 KiB reads per NVMe command (an unbatched path issues one per read).
   if ! awk -v r="$ratio" 'BEGIN { exit !(r >= 4.0) }'; then
     echo "error: seq-read command reduction ${ratio}x < 4x" >&2
     exit 1
@@ -162,9 +152,9 @@ check() {
   tmp="$(mktemp -d)"
   trap "rm -rf '$tmp'" EXIT
 
-  echo ">> fig11/fig12 (current) for regression check" >&2
-  run_bench fig11_fs_random_read 0 | parse_fs_fig fig11 current >"$tmp/rows"
-  run_bench fig12_fs_random_write 0 | parse_fs_fig fig12 current >>"$tmp/rows"
+  echo ">> fig11/fig12 for regression check" >&2
+  run_bench fig11_fs_random_read | parse_fs_fig fig11 current >"$tmp/rows"
+  run_bench fig12_fs_random_write | parse_fs_fig fig12 current >>"$tmp/rows"
 
   # Baseline buffered-path numbers: one row object per line by construction.
   awk -F'[:,]' '
